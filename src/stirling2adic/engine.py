@@ -17,6 +17,7 @@ above that on Python integers with a mask.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -35,6 +36,7 @@ __all__ = [
     "stirling_rows_mod2",
     "stirling_mod2",
     "stirling_explicit_mod2",
+    "stirling_explicit_row_mod2",
     "val_stirling",
     "val_stirling_difference",
     "check_convolution",
@@ -236,44 +238,62 @@ def stirling_exact(n: int, k: int, cap: int = DEFAULT_EXACT_CAP) -> int:
 # explicit-formula engine (independent route)
 
 
-def stirling_explicit_mod2(n: int, k: int, bits: int) -> Residue:
-    """S(n, k) mod 2**bits via the explicit alternating binomial sum.
+def _signed_powers(n: int, k_max: int, bits: int) -> tuple[list[int], int]:
+    """Working modulus mod = 2**(bits + nu2(k_max!)) and (-1)**j j**n mod `mod`, j <= k_max.
 
-    The sum T = sum (-1)**i C(k,i) (k-i)**n is accumulated mod
-    2**(bits + nu2(k!)) so that the exact division by k! survives: T is
-    divided by 2**nu2(k!) and multiplied by the inverse of the odd part of
-    k! mod 2**bits.  Binomials are carried as (odd part, power of two) to
-    avoid dividing by even numbers in modular arithmetic.
+    The modulus keeps enough bits for the exact division by k! at every
+    k <= k_max.
     """
-    if n < 0 or k < 0:
-        raise DomainError(f"need n, k >= 0, got n={n}, k={k}")
+    if n < 0 or k_max < 0:
+        raise DomainError(f"need n, k >= 0, got n={n}, k={k_max}")
     if bits < 1:
         raise DomainError(f"need bits >= 1, got {bits}")
+    mod = 1 << (bits + k_max - s2(k_max))
+    return [-pow(j, n, mod) if j & 1 else pow(j, n, mod) for j in range(k_max + 1)], mod
+
+
+def _explicit_sum(n: int, k: int, bits: int, binoms: list[int], powers: list[int], mod: int) -> int:
+    """S(n, k) mod 2**bits from binoms[j] = C(k, j) and powers from _signed_powers(n, >= k, bits).
+
+    T = sum_j (-1)**(k-j) C(k,j) j**n is taken mod `mod`, so the exact
+    division by k! survives: T is divided by 2**nu2(k!) and multiplied by the
+    inverse of the odd part of k! mod 2**bits.
+    """
+    total = sum(map(operator.mul, binoms, powers))
+    total = (-total if k & 1 else total) % mod
     v2_fact = k - s2(k)
-    work_bits = bits + v2_fact
-    mod = 1 << work_bits
-    total = 0
-    c_odd = 1  # odd part of C(k, i) mod 2**work_bits
-    c_exp = 0  # nu2(C(k, i))
-    for i in range(k + 1):
-        term = (c_odd << c_exp) * pow(k - i, n, mod)
-        total = (total - term if i & 1 else total + term) % mod
-        if i < k:
-            up = k - i
-            dn = i + 1
-            c_exp += nu2_int(up) - nu2_int(dn)
-            c_odd = c_odd * (up >> nu2_int(up)) % mod
-            c_odd = c_odd * pow(dn >> nu2_int(dn), -1, mod) % mod
     if total & ((1 << v2_fact) - 1):
         raise RuntimeError(
             f"internal error: explicit sum for S({n},{k}) not divisible by 2**{v2_fact}"
         )
-    fact_odd = 1
     out_mod = 1 << bits
-    for i in range(2, k + 1):
-        fact_odd = fact_odd * (i >> nu2_int(i)) % out_mod
-    value = (total >> v2_fact) % out_mod * pow(fact_odd, -1, out_mod) % out_mod
-    return Residue(value, bits)
+    return (total >> v2_fact) * pow(math.factorial(k) >> v2_fact, -1, out_mod) % out_mod
+
+
+def stirling_explicit_mod2(n: int, k: int, bits: int) -> Residue:
+    """S(n, k) mod 2**bits via the explicit alternating binomial sum."""
+    powers, mod = _signed_powers(n, k, bits)
+    binoms = [1]
+    for j in range(k):
+        binoms.append(binoms[-1] * (k - j) // (j + 1))
+    return Residue(_explicit_sum(n, k, bits, binoms, powers, mod), bits)
+
+
+def stirling_explicit_row_mod2(n: int, k_max: int, bits: int) -> list[int]:
+    """Row S(n, 0..k_max) mod 2**bits via the explicit alternating binomial sum.
+
+    The powers j**n are taken once for the whole row; the binomials follow
+    Pascal's rule as k grows.
+    """
+    if k_max + 1 > DEFAULT_ROW_CAP:
+        raise ResourceCapError(f"row of {k_max + 1} entries exceeds cap {DEFAULT_ROW_CAP}")
+    powers, mod = _signed_powers(n, k_max, bits)
+    row = []
+    binoms = [1]
+    for k in range(k_max + 1):
+        row.append(_explicit_sum(n, k, bits, binoms, powers, mod))
+        binoms = [x + y for x, y in zip([0] + binoms, binoms + [0])]
+    return row
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ from .engine import (
     check_convolution,
     check_symmetric_identity,
     stirling_exact,
-    stirling_explicit_mod2,
+    stirling_explicit_row_mod2,
     stirling_row_mod2,
     stirling_rows_mod2,
 )
@@ -792,7 +793,11 @@ def _eval_task(args: tuple) -> list[CellRecord]:
 def _run_shards(
     tasks: list[tuple], workers: int, evaluate: Callable[[tuple], list[CellRecord]]
 ) -> list[CellRecord]:
-    if workers > 1 and len(tasks) > 1:
+    if workers < 1:
+        raise DomainError(f"need workers >= 1, got {workers}")
+    # ProcessPoolExecutor may start all max_workers processes up front
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(evaluate, tasks))
     else:
@@ -939,25 +944,29 @@ def scan_conjecture_mersenne(
 
 
 def _cross_task(args: tuple) -> list[CellRecord]:
-    bits, n, k_cap = args
-    k_max = min(n, k_cap)
-    row = stirling_row_mod2(n, k_max, bits)
+    bits, n_max, k_cap = args
+    rows = stirling_rows_mod2(range(n_max + 1), k_cap, bits)
     mask = (1 << bits) - 1
-    first_bad: int | None = None
-    for k in range(k_max + 1):
-        expected = stirling_exact(n, k) & mask
-        if row[k] != expected or stirling_explicit_mod2(n, k, bits).value != expected:
-            first_bad = k
-            break
-    params = {
-        "bits": bits,
-        "n": n,
-        "k_max": k_max,
-        "first_mismatch": "" if first_bad is None else first_bad,
-    }
-    return [
-        _bool_record(params, "Id-CrossEngine", "agreement", first_bad is None, (bits, n))
-    ]
+    recs = []
+    for n in range(n_max + 1):
+        k_max = min(n, k_cap)
+        explicit = stirling_explicit_row_mod2(n, k_max, bits)
+        first_bad: int | None = None
+        for k in range(k_max + 1):
+            expected = stirling_exact(n, k) & mask
+            if rows[n][k] != expected or explicit[k] != expected:
+                first_bad = k
+                break
+        params = {
+            "bits": bits,
+            "n": n,
+            "k_max": k_max,
+            "first_mismatch": "" if first_bad is None else first_bad,
+        }
+        recs.append(
+            _bool_record(params, "Id-CrossEngine", "agreement", first_bad is None, (bits, n))
+        )
+    return recs
 
 
 def cross_validate(
@@ -969,7 +978,9 @@ def cross_validate(
     """Check recurrence, explicit-formula, and exact engines against each other.
 
     One record per (bits, n) covering every k <= min(n, k_max); a record is
-    violated iff any k disagrees (the first offending k is echoed).
+    violated iff any k disagrees (the first offending k is echoed).  Each
+    precision is one task: one recurrence pass over n <= n_max and one
+    explicit row per n.
     """
     if n_max < 0 or k_max < 0:
         raise DomainError("need n_max, k_max >= 0")
@@ -977,7 +988,7 @@ def cross_validate(
     start = time.perf_counter()
     # warm the shared exact triangle once; worker processes inherit or rebuild
     stirling_exact(min(n_max, DEFAULT_EXACT_CAP), min(n_max, k_max))
-    tasks = [(bits, n, k_max) for bits in bits_values for n in range(n_max + 1)]
+    tasks = [(bits, n_max, k_max) for bits in bits_values]
     records = _run_shards(tasks, workers, _cross_task)
     config = {
         "target": "cross-validate",

@@ -233,6 +233,12 @@ class TestUsage:
     def test_missing_args(self, capsys):
         assert run_cli(capsys, "val", "16")[0] == 64
 
+    def test_workers_below_one(self, capsys):
+        code, out, err = run_cli(capsys, "cross-validate", "--n-max", "5", "--workers", "0")
+        assert code == 64
+        assert out == ""
+        assert "workers" in err
+
     def test_unknown_command(self, capsys):
         assert run_cli(capsys, "nope")[0] == 64
 

@@ -12,6 +12,7 @@ from stirling2adic.engine import (
     check_symmetric_identity,
     stirling_exact,
     stirling_explicit_mod2,
+    stirling_explicit_row_mod2,
     stirling_mod2,
     stirling_row_mod2,
     stirling_rows_mod2,
@@ -126,16 +127,24 @@ class TestExplicitEngine:
         assert stirling_explicit_mod2(10, 4, 12) == stirling_mod2(10, 4, 12)
 
     def test_against_exact(self):
-        for bits in (8, 32):
+        # the row form against the single-cell form and the exact triangle,
+        # three columns past the diagonal
+        for bits in (1, 8, 32, 64, 65, 128):
             for n in range(0, 45):
-                for k in range(0, n + 1):
-                    assert (
-                        stirling_explicit_mod2(n, k, bits).value
-                        == stirling_exact(n, k) % 2**bits
-                    )
+                expected = [stirling_exact(n, k) % 2**bits for k in range(n + 4)]
+                assert expected[n + 1 :] == [0, 0, 0]
+                assert stirling_explicit_row_mod2(n, n + 3, bits) == expected
+                assert [stirling_explicit_mod2(n, k, bits).value for k in range(n + 4)] == expected
 
     def test_k_above_n(self):
         assert stirling_explicit_mod2(3, 8, 16).value == 0
+
+    def test_row_rejects_bad_input(self):
+        for args in ((-1, 4, 8), (4, -1, 8), (4, 4, 0)):
+            with pytest.raises(DomainError):
+                stirling_explicit_row_mod2(*args)
+        with pytest.raises(ResourceCapError):
+            stirling_explicit_row_mod2(10, 1 << 23, 8)
 
 
 class TestValStirling:

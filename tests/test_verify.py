@@ -8,6 +8,7 @@ from pinned_cells import (
     congruence_residue,
     stirling2,
 )
+from stirling2adic import verify
 from stirling2adic.base2 import Valuation
 from stirling2adic.engine import PrecisionPolicy, stirling_exact
 from stirling2adic.errors import DomainError, ResourceCapError
@@ -311,6 +312,92 @@ class TestCrossValidate:
         assert report.exit_code == EXIT_OK
 
     def test_workers_match_serial(self):
-        a = cross_validate(n_max=25, k_max=8, bits_list=(16,), workers=1)
-        b = cross_validate(n_max=25, k_max=8, bits_list=(16,), workers=3)
+        # one task per precision: three tasks reach the pool, 96 bits the wide tier
+        a = cross_validate(n_max=25, k_max=8, bits_list=(8, 16, 96), workers=1)
+        b = cross_validate(n_max=25, k_max=8, bits_list=(8, 16, 96), workers=3)
         assert a.to_csv() == b.to_csv()
+        assert a.to_json() == b.to_json()
+
+    @pytest.mark.parametrize(
+        "route", ["stirling_rows_mod2", "stirling_explicit_row_mod2", "stirling_exact"]
+    )
+    def test_disagreement_is_reported(self, monkeypatch, route):
+        bad_n, bad_k = 9, 4
+        original = getattr(verify, route)
+
+        def rows(ns, k_max, bits):
+            out = original(ns, k_max, bits)
+            out[bad_n][bad_k] ^= 1
+            return out
+
+        def explicit_row(n, k_max, bits):
+            out = original(n, k_max, bits)
+            if n == bad_n:
+                out[bad_k] ^= 1
+            return out
+
+        def exact(n, k):
+            return original(n, k) + ((n, k) == (bad_n, bad_k))
+
+        corrupted = {
+            "stirling_rows_mod2": rows,
+            "stirling_explicit_row_mod2": explicit_row,
+            "stirling_exact": exact,
+        }[route]
+        monkeypatch.setattr(verify, route, corrupted)
+        report = cross_validate(n_max=12, k_max=6, bits_list=(8, 96))
+        assert report.exit_code == EXIT_VIOLATION
+        for rec in report.records:
+            if rec.params["n"] == bad_n:
+                assert rec.verdict == VIOLATED
+                assert rec.params["first_mismatch"] == bad_k
+            else:
+                assert rec.verdict == CONFIRMED
+                assert rec.params["first_mismatch"] == ""
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Swap the process pool for a serial stand-in; return the max_workers it got."""
+    sizes: list[int] = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    return sizes
+
+
+class TestWorkers:
+    def test_pool_is_bounded_by_tasks_and_cpus(self, pools):
+        serial = cross_validate(n_max=6, k_max=3, bits_list=(8, 16, 32), workers=1)
+        three = cross_validate(n_max=6, k_max=3, bits_list=(8, 16, 32), workers=10**9)
+        six = cross_validate(n_max=6, k_max=3, bits_list=range(8, 14), workers=10**9)
+        assert pools == [3, 4]
+        assert three.to_json() == serial.to_json()
+        assert six.summary[CONFIRMED] == 6 * 7
+
+    def test_unknown_cpu_count_runs_serially(self, pools, monkeypatch):
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+        report = cross_validate(n_max=6, k_max=3, bits_list=(8, 16), workers=8)
+        assert pools == []
+        assert report.exit_code == EXIT_OK
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_fewer_than_one(self, pools, workers):
+        with pytest.raises(DomainError):
+            cross_validate(n_max=6, k_max=3, bits_list=(8, 16), workers=workers)
+        with pytest.raises(DomainError):
+            run_sweep(SweepConfig("lengyel-eq", workers=workers))
+        assert pools == []
