@@ -358,7 +358,8 @@ class TestCrossValidate:
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Swap the process pool for a serial stand-in; return the max_workers it got."""
+    """Swap the process pool for a serial stand-in that runs the tasks in
+    reverse order; return the max_workers it got."""
     sizes: list[int] = []
 
     class FakePool:
@@ -371,8 +372,11 @@ def pools(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, tasks, chunksize=1):
+            # run the tasks last to first; results come back in task order
+            tasks = list(tasks)
+            done = [fn(task) for task in reversed(tasks)]
+            return reversed(done)
 
     monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
@@ -401,3 +405,38 @@ class TestWorkers:
         with pytest.raises(DomainError):
             run_sweep(SweepConfig("lengyel-eq", workers=workers))
         assert pools == []
+
+
+# small grids on which every valuation target has more than one task
+VALUATION_GRIDS = {
+    "lengyel-eq": {"n": [1, 2, 3], "c": [1, 3]},
+    "thm-lower": {"n": [1, 2, 3], "c": [1, 3]},
+    "thm-diagonal": {"n": [2, 3], "c": [1, 3]},
+    "thm-shifted-triple": {"n": [1, 2], "b": [1, 2], "c": [1], "m_offsets": [0, 1]},
+    "thm-difference": {"n": [2, 3], "pairs": [(2, 1), (3, 1), (4, 2)]},
+    "lem-shifted-power": {"c": [1, 3], "n": [1, 2, 3]},
+    "lem-theta": {"c": [1, 3], "n": [3, 4]},
+}
+
+
+class TestShardOrder:
+    @pytest.mark.parametrize("target", sorted(VALUATION_GRIDS))
+    def test_reversed_tasks_give_the_same_bytes(self, pools, target):
+        ranges = VALUATION_GRIDS[target]
+        serial = run_sweep(SweepConfig(target, ranges, workers=1))
+        reversed_ = run_sweep(SweepConfig(target, ranges, workers=2))
+        assert pools == [2]
+        assert reversed_.to_json() == serial.to_json()
+        assert reversed_.to_csv() == serial.to_csv()
+
+    def test_valuation_targets_are_covered(self):
+        checks = {"junod", "identities", "count-J", "diff-congruence"}
+        assert set(VALUATION_GRIDS) == set(sweep_targets()) - checks
+
+    def test_check_cells_run_in_worker_processes(self):
+        ranges = {"p": [2], "v": [1, 2], "m": [0, 1], "n": [1, 2, 3]}
+        serial = run_sweep(SweepConfig("junod", ranges, workers=1))
+        pooled = run_sweep(SweepConfig("junod", ranges, workers=2))
+        assert serial.summary[CONFIRMED] == serial.summary["cells"] == 12
+        assert pooled.to_json() == serial.to_json()
+        assert pooled.to_csv() == serial.to_csv()
