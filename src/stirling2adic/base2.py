@@ -2,8 +2,8 @@
 
 Everything here is exact and pure: 2-adic valuations, binary digit sums,
 and the closed-form digit identities (Legendre, Kummer, carry-free digit
-additivity, the J-set cardinality, the top-run statistic theta, and the two
-delta correction terms used by the difference-valuation formulas).
+additivity, the J-set cardinality, the top-run statistic theta, and the
+delta correction term of the difference-valuation formula).
 
 All inputs are machine-scale integers; arbitrary-precision Stirling values
 live in :mod:`stirling2adic.engine`.
@@ -34,7 +34,6 @@ __all__ = [
     "brute_force_J",
     "mersenne_power_val",
     "theta",
-    "delta_theorem",
     "delta_conjecture",
 ]
 
@@ -231,25 +230,11 @@ def theta(k: int) -> int:
     return run
 
 
-def delta_theorem(k: int) -> int:
-    """Correction term of the proved difference-valuation formula.
-
-    2 at k=4; 1 at powers of two above 4; otherwise 0.  Powers of two
-    minus one are outside this variant's domain and get 0.
-    """
-    if k < 3:
-        raise DomainError(f"need k >= 3, got {k}")
-    if k == 4:
-        return 2
-    if is_power_of_two(k):
-        return 1
-    return 0
-
-
 def delta_conjecture(k: int) -> int:
-    """Correction term as used in the conjectured f(k).
+    """Correction term of the difference drop f(k).
 
-    Same as delta_theorem except that powers of two minus one also get 1.
+    2 at k=4; 1 at powers of two above 4 and at powers of two minus one;
+    otherwise 0.
     """
     if k < 3:
         raise DomainError(f"need k >= 3, got {k}")

@@ -22,11 +22,8 @@ from .engine import PrecisionPolicy, val_stirling, val_stirling_difference
 from .errors import DomainError, ResourceCapError
 from . import predictors as P
 from . import verify as V
+from .verify import EXIT_OK
 
-EXIT_OK = 0
-EXIT_VIOLATION = 2
-EXIT_CONJECTURE_DEVIATION = 3
-EXIT_INDETERMINATE = 4
 EXIT_USAGE = 64
 EXIT_RESOURCE = 70
 
@@ -80,7 +77,7 @@ def parse_pairs(text: str) -> list[tuple[int, int]]:
 
 
 def _policy_from(args: argparse.Namespace, hint: int | None = None) -> PrecisionPolicy:
-    max_bits = args.precision_max
+    max_bits = PrecisionPolicy().max_bits if args.precision_max is None else args.precision_max
     if args.precision_initial is not None:
         return PrecisionPolicy(args.precision_initial, max_bits)
     return PrecisionPolicy.for_predicted(hint, max_bits=max_bits)
@@ -108,16 +105,6 @@ def _prediction_json(pred: P.Prediction, verdict: str | None) -> dict:
     if verdict is not None:
         obj["verdict"] = verdict
     return obj
-
-
-def _verdict_exit(verdicts: Sequence[str]) -> int:
-    if V.VIOLATED in verdicts:
-        return EXIT_VIOLATION
-    if V.CONJECTURE_DEVIATION in verdicts:
-        return EXIT_CONJECTURE_DEVIATION
-    if V.INDETERMINATE in verdicts:
-        return EXIT_INDETERMINATE
-    return EXIT_OK
 
 
 def _params_str(pred: P.Prediction) -> str:
@@ -155,7 +142,7 @@ def _cmd_val(args: argparse.Namespace) -> int:
             lines.append(f"predicted {p}{_params_str(p)}: {verdicts[id(p)]}")
         lines.append(_policy_line(policy))
         _emit("\n".join(lines) + "\n", args.out)
-    return _verdict_exit([verdicts[id(p)] for p in preds])
+    return V.verdict_exit_code([verdicts[id(p)] for p in preds])
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
@@ -201,19 +188,13 @@ def _cmd_diff(args: argparse.Namespace) -> int:
             _policy_line(policy),
         ]
         _emit("\n".join(lines) + "\n", args.out)
-    return _verdict_exit([verdict])
+    return V.verdict_exit_code([verdict])
 
 
 def _report_text(report: V.SweepReport) -> str:
     s = report.summary
     lines = [f"sweep {report.target}: {s['cells']} cells"]
-    for verdict in (
-        V.CONFIRMED,
-        V.VIOLATED,
-        V.INDETERMINATE,
-        V.CONJECTURE_OBSERVED,
-        V.CONJECTURE_DEVIATION,
-    ):
+    for verdict in V.VERDICT_ORDER:
         if s[verdict]:
             lines.append(f"  {verdict}: {s[verdict]}")
     policy = report.config.get("policy")
@@ -260,10 +241,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    policy = (
-        PrecisionPolicy(args.precision_initial, args.precision_max)
-        if args.precision_initial is not None
-        else PrecisionPolicy(V.DEFAULT_SCANNER_POLICY.initial_bits, args.precision_max)
+    # the scanner's default is wider: conjectural valuations grow with n
+    default = V.DEFAULT_SCANNER_POLICY
+    policy = PrecisionPolicy(
+        default.initial_bits if args.precision_initial is None else args.precision_initial,
+        default.max_bits if args.precision_max is None else args.precision_max,
     )
     report = V.scan_conjecture_mersenne(
         n_values=parse_int_list(args.n),
@@ -276,50 +258,23 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_identities(args: argparse.Namespace) -> int:
-    reports = []
-    reports.append(
-        V.run_sweep(
-            V.SweepConfig(
-                "identities",
-                {
-                    "conv_n": list(range(0, args.max_conv + 1)),
-                    "conv_m": list(range(1, args.max_conv + 1)),
-                    "sym_k1": list(range(0, args.max_sym + 1)),
-                    "sym_k2": list(range(0, args.max_sym + 1)),
-                },
-                workers=args.workers,
-            )
-        )
-    )
-    reports.append(
-        V.run_sweep(
-            V.SweepConfig(
-                "junod",
-                {
-                    "p": [2],
-                    "v": [1, 2],
-                    "m": list(range(0, args.junod_max + 1)),
-                    "n": list(range(1, args.junod_max + 1)),
-                },
-                workers=args.workers,
-            )
-        )
-    )
+    junod = [(2, [1, 2], args.junod_max)]
     if args.junod_p3_max > 0:
-        reports.append(
-            V.run_sweep(
-                V.SweepConfig(
-                    "junod",
-                    {
-                        "p": [3],
-                        "v": [1],
-                        "m": list(range(0, args.junod_p3_max + 1)),
-                        "n": list(range(1, args.junod_p3_max + 1)),
-                    },
-                    workers=args.workers,
-                )
-            )
-        )
+        junod.append((3, [1], args.junod_p3_max))
+    identities = {
+        "conv_n": list(range(0, args.max_conv + 1)),
+        "conv_m": list(range(1, args.max_conv + 1)),
+        "sym_k1": list(range(0, args.max_sym + 1)),
+        "sym_k2": list(range(0, args.max_sym + 1)),
+    }
+    suites = [("identities", identities)] + [
+        ("junod", {"p": [p], "v": vs, "m": list(range(0, top + 1)), "n": list(range(1, top + 1))})
+        for p, vs, top in junod
+    ]
+    reports = [
+        V.run_sweep(V.SweepConfig(target, ranges, workers=args.workers))
+        for target, ranges in suites
+    ]
     if args.format == "json":
         blob = [json.loads(r.to_json()) for r in reports]
         _emit(json.dumps(blob, indent=2) + "\n", args.out)
@@ -386,14 +341,11 @@ def _build_parser() -> _Parser:
     out.add_argument("--format", choices=("text", "csv", "json"), default="text")
     out.add_argument("--out", help="write output to a file instead of stdout")
 
+    # None selects the command's default policy; subparsers share these
+    # actions, so a per-command default set on one would reach all of them
     prec = _Parser(add_help=False)
     prec.add_argument("--precision-initial", type=int, default=None, metavar="BITS")
-    prec.add_argument("--precision-max", type=int, default=4096, metavar="BITS")
-
-    # scanner default is higher: conjectural valuations grow with n
-    prec_scan = _Parser(add_help=False)
-    prec_scan.add_argument("--precision-initial", type=int, default=None, metavar="BITS")
-    prec_scan.add_argument("--precision-max", type=int, default=8192, metavar="BITS")
+    prec.add_argument("--precision-max", type=int, default=None, metavar="BITS")
 
     work = _Parser(add_help=False)
     work.add_argument("--workers", type=int, default=1)
@@ -431,7 +383,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser(
         "scan-conjecture",
-        parents=[out, prec_scan, work],
+        parents=[out, prec, work],
         help="scan the conjectured difference valuation at k = 2**m - 1",
     )
     p.add_argument("--n", default="2..8", help="range of n (arguments use a*2**(n+1))")

@@ -37,6 +37,7 @@ __all__ = [
     "stirling_mod2",
     "stirling_explicit_mod2",
     "stirling_explicit_row_mod2",
+    "valuations",
     "val_stirling",
     "val_stirling_difference",
     "check_convolution",
@@ -300,6 +301,35 @@ def stirling_explicit_row_mod2(n: int, k_max: int, bits: int) -> list[int]:
 # adaptive valuations
 
 
+def valuations(
+    n1: int, ks: Iterable[int], policy: PrecisionPolicy, n2: int | None = None
+) -> dict[int, Valuation]:
+    """nu2(S(n1, k)), or nu2(S(n1, k) - S(n2, k)) when n2 is given, for every k in ks.
+
+    Each rung of the policy's ladder makes one recurrence pass up to the
+    largest k still pending.  A nonzero residue certifies a finite valuation
+    and takes its k off the ladder; a k whose residue is still zero at
+    max_bits gets an at-least valuation.  Zero values (k = 0, k > n, n1 = n2)
+    are the caller's to rule out.
+    """
+    ns = (n1,) if n2 is None else (n1, n2)
+    out: dict[int, Valuation] = {}
+    pending = set(ks)
+    for bits in policy.ladder():
+        if not pending:
+            break
+        rows = stirling_rows_mod2(ns, max(pending), bits)
+        mask = (1 << bits) - 1
+        for k in list(pending):
+            r = rows[n1][k] if n2 is None else (rows[n1][k] - rows[n2][k]) & mask
+            if r:
+                out[k] = Valuation.finite(nu2_int(r))
+                pending.discard(k)
+    for k in pending:
+        out[k] = Valuation.at_least(policy.max_bits)
+    return out
+
+
 def val_stirling(n: int, k: int, policy: PrecisionPolicy | None = None) -> Valuation:
     """nu2(S(n, k)) with adaptive precision.
 
@@ -311,12 +341,7 @@ def val_stirling(n: int, k: int, policy: PrecisionPolicy | None = None) -> Valua
         raise DomainError(f"need 0 <= k <= n, got n={n}, k={k}")
     if k == 0:
         return Valuation.finite(0) if n == 0 else Valuation.infinite()
-    policy = policy or PrecisionPolicy()
-    for bits in policy.ladder():
-        r = stirling_mod2(n, k, bits)
-        if r.value:
-            return r.val()
-    return Valuation.at_least(policy.max_bits)
+    return valuations(n, (k,), policy or PrecisionPolicy())[k]
 
 
 def val_stirling_difference(
@@ -336,13 +361,7 @@ def val_stirling_difference(
         return Valuation.infinite() if d == 0 else Valuation.finite(0)
     if n1 == n2:
         return Valuation.infinite()
-    policy = policy or PrecisionPolicy()
-    for bits in policy.ladder():
-        rows = stirling_rows_mod2((n1, n2), k, bits)
-        d = (rows[n1][k] - rows[n2][k]) & ((1 << bits) - 1)
-        if d:
-            return Valuation.finite(nu2_int(d))
-    return Valuation.at_least(policy.max_bits)
+    return valuations(n1, (k,), policy or PrecisionPolicy(), n2)[k]
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .base2 import (
-    ceil_log2,
-    delta_conjecture,
-    delta_theorem,
-    is_power_of_two,
-    nu2_int,
-    s2,
-    theta,
-)
+from .base2 import ceil_log2, delta_conjecture, is_power_of_two, nu2_int, s2, theta
 from .errors import DomainError
 
 __all__ = [
@@ -174,26 +166,22 @@ def predict_val_shifted_triple(c: int, m: int, b: int, n: int, a: int) -> Predic
 
 
 def predict_val_difference(a: int, b: int, n: int, k: int) -> Prediction:
-    """Claim about nu2(S(a*2**n, k) - S(b*2**n, k)) for a > b >= 1, 3 <= k <= 2**n.
+    """Claim about nu2(S(a*2**n, k) - S(b*2**n, k)) for a > b >= 1, 3 <= k <= 2**n:
 
-    Away from k = 2**m - 1 this is the proved formula
+        n + 1 + nu2(a-b) - f(k),    f(k) = 1 + ceil(log2 k) - s2(k) - delta(k).
 
-        n + nu2(a-b) - ceil(log2 k) + s2(k) + delta(k);
-
-    at k = 2**m - 1 the case is open and the claim is the conjectured
-    n + 1 + nu2(a-b), tagged conjectural so verifiers report rather than
-    assert it.
+    Away from k = 2**m - 1 this is the proved formula.  At k = 2**m - 1,
+    where f(k) = 0, the case is open: the claim is tagged conjectural so
+    verifiers report rather than assert it.
     """
     if b < 1 or a <= b:
         raise DomainError(f"need a > b >= 1, got a={a}, b={b}")
     if k < 3 or k > (1 << n):
         raise DomainError(f"need 3 <= k <= 2**n, got k={k}, n={n}")
     params = {"a": a, "b": b, "n": n, "k": k}
+    value = n + 1 + nu2_int(a - b) - f_conjectured(k)
     if is_power_of_two(k + 1):
-        return Prediction(
-            CONJECTURAL_EQUALITY, n + 1 + nu2_int(a - b), SRC_CONJ_MERSENNE, params
-        )
-    value = n + nu2_int(a - b) - ceil_log2(k) + s2(k) + delta_theorem(k)
+        return Prediction(CONJECTURAL_EQUALITY, value, SRC_CONJ_MERSENNE, params)
     return Prediction(EQUALITY, value, SRC_THM_DIFFERENCE, params)
 
 
@@ -235,9 +223,9 @@ def predict_val_theta(c: int, n: int, a: int, k: int) -> Prediction:
 
 
 def f_conjectured(k: int) -> int:
-    """The conjectured difference-drop f(k) = 1 + ceil(log2 k) - s2(k) - delta(k),
+    """The difference drop f(k) = 1 + ceil(log2 k) - s2(k) - delta(k).
 
-    with the delta variant that also covers powers of two minus one."""
+    Proved for k other than 2**m - 1, where f(k) = 0 is the conjecture."""
     if k < 3:
         raise DomainError(f"need k >= 3, got {k}")
     return 1 + ceil_log2(k) - s2(k) - delta_conjecture(k)

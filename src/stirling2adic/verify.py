@@ -4,18 +4,21 @@ Mersenne-shaped case.
 
 Reports are deterministic: cells are emitted in lexicographic parameter
 order, runtime metadata is kept out of the serialized record section, and
-worker parallelism cannot affect output bytes (shards are merged by sort).
+worker parallelism cannot affect output bytes (records are made in the
+calling process from results keyed by row).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from functools import partial
+from typing import Callable, Collection, Iterable, Iterator
 
 from ._version import __version__
 from .base2 import Valuation, count_J, brute_force_J, is_power_of_two, nu2_int, s2
@@ -27,8 +30,9 @@ from .engine import (
     check_symmetric_identity,
     stirling_exact,
     stirling_explicit_row_mod2,
-    stirling_row_mod2,
+    stirling_row_mod2,  # unused here; kept for callers that look it up in this module
     stirling_rows_mod2,
+    valuations,
 )
 from .errors import DomainError, ResourceCapError
 from . import predictors as P
@@ -40,6 +44,7 @@ __all__ = [
     "CONJECTURE_OBSERVED",
     "CONJECTURE_DEVIATION",
     "SCHEMA_VERSION",
+    "VERDICT_ORDER",
     "CellRecord",
     "SweepConfig",
     "SweepReport",
@@ -54,6 +59,7 @@ __all__ = [
     "EXIT_VIOLATION",
     "EXIT_CONJECTURE_DEVIATION",
     "EXIT_INDETERMINATE",
+    "verdict_exit_code",
 ]
 
 SCHEMA_VERSION = "1"
@@ -65,7 +71,7 @@ INDETERMINATE = "indeterminate"
 CONJECTURE_OBSERVED = "conjecture-observed"
 CONJECTURE_DEVIATION = "conjecture-deviation"
 
-_VERDICT_ORDER = (
+VERDICT_ORDER = (
     CONFIRMED,
     VIOLATED,
     INDETERMINATE,
@@ -79,6 +85,17 @@ EXIT_CONJECTURE_DEVIATION = 3
 EXIT_INDETERMINATE = 4
 
 DEFAULT_CELL_CAP = 10_000_000
+
+
+def verdict_exit_code(verdicts: Collection[str]) -> int:
+    """Exit code for a collection of verdicts: the gravest one present decides."""
+    if VIOLATED in verdicts:
+        return EXIT_VIOLATION
+    if CONJECTURE_DEVIATION in verdicts:
+        return EXIT_CONJECTURE_DEVIATION
+    if INDETERMINATE in verdicts:
+        return EXIT_INDETERMINATE
+    return EXIT_OK
 
 
 def classify(kind: str, value: int | None, observed: Valuation) -> str:
@@ -154,56 +171,41 @@ def _bool_record(
     )
 
 
-# ---------------------------------------------------------------------------
-# batched observations with adaptive escalation
+def _check_record(order: tuple, params: dict, claim: tuple, result: object) -> CellRecord:
+    """Record of an exact-check cell whose check returned `result`.
 
-
-def _vals_for_row(big_n: int, ks: Sequence[int], policy: PrecisionPolicy) -> dict[int, Valuation]:
-    """nu2(S(big_n, k)) for many k sharing one recurrence row per precision."""
-    out: dict[int, Valuation] = {}
-    pending = list(ks)
-    for bits in policy.ladder():
-        if not pending:
-            break
-        row = stirling_row_mod2(big_n, max(pending), bits)
-        still = []
-        for k in pending:
-            if row[k]:
-                out[k] = Valuation.finite(nu2_int(row[k]))
-            else:
-                still.append(k)
-        pending = still
-    for k in pending:
-        out[k] = Valuation.at_least(policy.max_bits)
-    return out
-
-
-def _diff_vals(
-    n1: int, n2: int, ks: Sequence[int], policy: PrecisionPolicy
-) -> dict[int, Valuation]:
-    """nu2(S(n1, k) - S(n2, k)) for many k at shared precision."""
-    out: dict[int, Valuation] = {}
-    pending = list(ks)
-    for bits in policy.ladder():
-        if not pending:
-            break
-        rows = stirling_rows_mod2((n1, n2), max(pending), bits)
-        mask = (1 << bits) - 1
-        still = []
-        for k in pending:
-            d = (rows[n1][k] - rows[n2][k]) & mask
-            if d:
-                out[k] = Valuation.finite(nu2_int(d))
-            else:
-                still.append(k)
-        pending = still
-    for k in pending:
-        out[k] = Valuation.at_least(policy.max_bits)
-    return out
+    A count claim holds when the enumerated set has the claimed size; any
+    other claim holds when the check returns true.  junod_check also returns
+    its slack, which the record echoes as a parameter.
+    """
+    source, claim_kind, expected = claim
+    if claim_kind == "count":
+        return CellRecord(
+            params=params,
+            source=source,
+            claim_kind=claim_kind,
+            claim_value=expected,
+            observed_kind="count",
+            observed_value=len(result),
+            verdict=CONFIRMED if len(result) == expected else VIOLATED,
+            order=order,
+        )
+    if isinstance(result, tuple):
+        result, slack = result
+        params = {**params, "slack": str(slack)}
+    return _bool_record(params, source, claim_kind, result, order)
 
 
 # ---------------------------------------------------------------------------
 # sweep targets
+#
+# A target's cells(ranges) validates its ranges, then yields one cell
+# (order, params, claim, query) per grid point in lexicographic order.  A
+# valuation cell's query is (n1, n2, k), asking for nu2(S(n1, k)) when n2 is
+# None and nu2(S(n1, k) - S(n2, k)) otherwise; its claim is
+# (predictor, *args), called only when the record is made, so that counting
+# cells stays cheap.  An exact-check cell's query is a partial that runs the
+# check, and its claim is (source, claim_kind, claim_value).
 
 
 @dataclass(frozen=True)
@@ -211,15 +213,21 @@ class _Target:
     name: str
     columns: tuple[str, ...]
     defaults: dict
-    shards: Callable[[dict], list]
-    evaluate: Callable[[tuple, dict, PrecisionPolicy], list[CellRecord]]
-    count: Callable[[dict], int]
+    cells: Callable[[dict], Iterator[tuple]]
 
 
 def _int_list(ranges: dict, key: str, floor: int | None = None) -> list[int]:
     values = sorted(set(int(v) for v in ranges[key]))
     if floor is not None and values and values[0] < floor:
         raise DomainError(f"range {key!r} needs values >= {floor}, got {values[0]}")
+    return values
+
+
+def _odd_list(ranges: dict, key: str) -> list[int]:
+    values = _int_list(ranges, key)
+    for c in values:
+        if c < 1 or c % 2 == 0:
+            raise DomainError(f"{key} must be odd and >= 1, got {c}")
     return values
 
 
@@ -231,440 +239,227 @@ def _pair_list(ranges: dict) -> list[tuple[int, int]]:
     return pairs
 
 
-def _require_odd(values: Iterable[int], what: str) -> None:
-    for c in values:
-        if c < 1 or c % 2 == 0:
-            raise DomainError(f"{what} must be odd and >= 1, got {c}")
+def _digit_claim(kind: str, source: str, x: int) -> P.Prediction:
+    return P.Prediction(kind, s2(x) - 1, source)
 
 
-# -- lengyel-eq: nu2(S(c*2**n, k)) = s2(k) - 1 for 1 <= k <= 2**n
-
-def _sh_lengyel(r: dict) -> list:
-    return [(n, c) for n in _int_list(r, "n", floor=0) for c in _int_list(r, "c", floor=1)]
-
-
-def _ev_lengyel(shard: tuple, r: dict, policy: PrecisionPolicy) -> list[CellRecord]:
-    n, c = shard
-    big_n = c << n
-    ks = range(1, (1 << n) + 1)
-    vals = _vals_for_row(big_n, list(ks), policy)
-    recs = []
-    for k in ks:
-        pred = P.Prediction(P.EQUALITY, s2(k) - 1, P.SRC_LEM_LENGYEL_EQ)
-        params = {"n": n, "c": c, "k": k, "N": big_n}
-        recs.append(_record(params, pred, vals[k], (n, c, k)))
-    return recs
+def _lengyel(r: dict) -> Iterator[tuple]:
+    """nu2(S(c*2**n, k)) = s2(k) - 1 for 1 <= k <= 2**n."""
+    ns, cs = _int_list(r, "n", floor=0), _int_list(r, "c", floor=1)
+    for n in ns:
+        for c in cs:
+            big_n = c << n
+            for k in range(1, (1 << n) + 1):
+                params = {"n": n, "c": c, "k": k, "N": big_n}
+                claim = (_digit_claim, P.EQUALITY, P.SRC_LEM_LENGYEL_EQ, k)
+                yield (n, c, k), params, claim, (big_n, None, k)
 
 
-def _ct_lengyel(r: dict) -> int:
-    return sum((1 << n) for n in _int_list(r, "n")) * len(_int_list(r, "c"))
+def _lower(r: dict) -> Iterator[tuple]:
+    """nu2(S(c*2**n, b*2**(n+1) + a)) >= s2(a) - 1 for every such k <= c*2**n."""
+    cs, ns = _odd_list(r, "c"), _int_list(r, "n", floor=0)
+    for n in ns:
+        for c in cs:
+            big_n = c << n
+            for b in range(((big_n - 1) >> (n + 1)) + 1):
+                base = b << (n + 1)
+                for a in range(1, min(1 << (n + 1), big_n - base + 1)):
+                    k = base + a
+                    params = {"n": n, "c": c, "b": b, "a": a, "k": k, "N": big_n}
+                    claim = (_digit_claim, P.LOWER_BOUND, P.SRC_THM_LOWER_BOUND, a)
+                    yield (n, c, b, a), params, claim, (big_n, None, k)
 
 
-# -- thm-lower: nu2(S(c*2**n, b*2**(n+1) + a)) >= s2(a) - 1
-
-def _sh_lower(r: dict) -> list:
-    cs = _int_list(r, "c")
-    _require_odd(cs, "c")
-    return [(n, c) for n in _int_list(r, "n", floor=0) for c in cs]
-
-
-def _cells_lower(n: int, c: int) -> list[tuple[int, int, int]]:
-    big_n = c << n
-    cells = []
-    for b in range(((big_n - 1) >> (n + 1)) + 1):
-        for a in range(1, 1 << (n + 1)):
-            k = (b << (n + 1)) + a
-            if k <= big_n:
-                cells.append((b, a, k))
-    return cells
+def _diagonal(r: dict) -> Iterator[tuple]:
+    """nu2(S(c*2**n, (c-1)*2**n + a)) = s2(a) - 1 for 1 <= a <= 2**n."""
+    cs, ns = _odd_list(r, "c"), _int_list(r, "n", floor=2)
+    for n in ns:
+        for c in cs:
+            big_n = c << n
+            for a in range(1, (1 << n) + 1):
+                k = ((c - 1) << n) + a
+                params = {"n": n, "c": c, "a": a, "k": k, "N": big_n}
+                claim = (_digit_claim, P.EQUALITY, P.SRC_THM_DIAGONAL, a)
+                yield (n, c, a), params, claim, (big_n, None, k)
 
 
-def _ev_lower(shard: tuple, r: dict, policy: PrecisionPolicy) -> list[CellRecord]:
-    n, c = shard
-    big_n = c << n
-    cells = _cells_lower(n, c)
-    vals = _vals_for_row(big_n, [k for _, _, k in cells], policy)
-    recs = []
-    for b, a, k in cells:
-        pred = P.Prediction(P.LOWER_BOUND, s2(a) - 1, P.SRC_THM_LOWER_BOUND)
-        params = {"n": n, "c": c, "b": b, "a": a, "k": k, "N": big_n}
-        recs.append(_record(params, pred, vals[k], (n, c, b, a)))
-    return recs
-
-
-def _ct_lower(r: dict) -> int:
-    return sum(len(_cells_lower(n, c)) for n in _int_list(r, "n") for c in _int_list(r, "c"))
-
-
-# -- thm-diagonal: nu2(S(c*2**n, (c-1)*2**n + a)) = s2(a) - 1
-
-def _sh_diagonal(r: dict) -> list:
-    cs = _int_list(r, "c")
-    _require_odd(cs, "c")
-    return [(n, c) for n in _int_list(r, "n", floor=2) for c in cs]
-
-
-def _ev_diagonal(shard: tuple, r: dict, policy: PrecisionPolicy) -> list[CellRecord]:
-    n, c = shard
-    big_n = c << n
-    cells = [(a, ((c - 1) << n) + a) for a in range(1, (1 << n) + 1)]
-    vals = _vals_for_row(big_n, [k for _, k in cells], policy)
-    recs = []
-    for a, k in cells:
-        pred = P.Prediction(P.EQUALITY, s2(a) - 1, P.SRC_THM_DIAGONAL)
-        params = {"n": n, "c": c, "a": a, "k": k, "N": big_n}
-        recs.append(_record(params, pred, vals[k], (n, c, a)))
-    return recs
-
-
-def _ct_diagonal(r: dict) -> int:
-    return sum((1 << n) for n in _int_list(r, "n")) * len(_int_list(r, "c"))
-
-
-# -- thm-shifted-triple: nu2(S(c*2**m + b*2**(n+1) + 2**n, b*2**(n+2) + a))
-
-def _sh_triple(r: dict) -> list:
-    cs = _int_list(r, "c")
-    _require_odd(cs, "c")
-    offs = _int_list(r, "m_offsets")
-    if offs and offs[0] < 0:
-        raise DomainError("m_offsets must be nonnegative")
-    shards = []
-    for n in _int_list(r, "n", floor=1):
-        for b in _int_list(r, "b", floor=1):
+def _triple(r: dict) -> Iterator[tuple]:
+    """nu2(S(c*2**m + b*2**(n+1) + 2**n, b*2**(n+2) + a)), m from its least value on."""
+    cs, offs = _odd_list(r, "c"), _int_list(r, "m_offsets", floor=0)
+    ns, bs = _int_list(r, "n", floor=1), _int_list(r, "b", floor=1)
+    for n in ns:
+        for b in bs:
             m_lo = n + 2 + (b.bit_length() - 1)
             for off in offs:
+                m = m_lo + off
                 for c in cs:
-                    shards.append((n, b, m_lo + off, c))
-    return shards
+                    big_n = (c << m) + (b << (n + 1)) + (1 << n)
+                    for a in range(1, 1 << (n + 1)):
+                        k = (b << (n + 2)) + a
+                        params = {"n": n, "b": b, "m": m, "c": c, "a": a, "k": k, "N": big_n}
+                        claim = (P.predict_val_shifted_triple, c, m, b, n, a)
+                        yield (n, b, m, c, a), params, claim, (big_n, None, k)
 
 
-def _ev_triple(shard: tuple, r: dict, policy: PrecisionPolicy) -> list[CellRecord]:
-    n, b, m, c = shard
-    big_n = (c << m) + (b << (n + 1)) + (1 << n)
-    cells = [(a, (b << (n + 2)) + a) for a in range(1, 1 << (n + 1))]
-    vals = _vals_for_row(big_n, [k for _, k in cells], policy)
-    recs = []
-    for a, k in cells:
-        pred = P.predict_val_shifted_triple(c, m, b, n, a)
-        params = {"n": n, "b": b, "m": m, "c": c, "a": a, "k": k, "N": big_n}
-        recs.append(_record(params, pred, vals[k], (n, b, m, c, a)))
-    return recs
+def _diff_ks(n: int) -> Iterator[int]:
+    return (k for k in range(3, (1 << n) + 1) if not is_power_of_two(k + 1))
 
 
-def _ct_triple(r: dict) -> int:
-    per_shard = len(_int_list(r, "m_offsets")) * len(_int_list(r, "c")) * len(_int_list(r, "b"))
-    return per_shard * sum((1 << (n + 1)) - 1 for n in _int_list(r, "n"))
+def _difference(r: dict) -> Iterator[tuple]:
+    """nu2(S(a*2**n, k) - S(b*2**n, k)) for 3 <= k <= 2**n, k not 2**m - 1."""
+    pairs, ns = _pair_list(r), _int_list(r, "n", floor=2)
+    for a, b in pairs:
+        for n in ns:
+            n1, n2 = a << n, b << n
+            for k in _diff_ks(n):
+                params = {"a": a, "b": b, "n": n, "k": k, "N1": n1, "N2": n2}
+                yield (a, b, n, k), params, (P.predict_val_difference, a, b, n, k), (n1, n2, k)
 
 
-# -- thm-difference: nu2(S(a*2**n, k) - S(b*2**n, k)), k not 2**m - 1
-
-def _diff_ks(n: int) -> list[int]:
-    return [k for k in range(3, (1 << n) + 1) if not is_power_of_two(k + 1)]
-
-
-def _sh_difference(r: dict) -> list:
-    return [(a, b, n) for a, b in _pair_list(r) for n in _int_list(r, "n", floor=2)]
-
-
-def _ev_difference(shard: tuple, r: dict, policy: PrecisionPolicy) -> list[CellRecord]:
-    a, b, n = shard
-    n1, n2 = a << n, b << n
-    ks = _diff_ks(n)
-    vals = _diff_vals(n1, n2, ks, policy)
-    recs = []
-    for k in ks:
-        pred = P.predict_val_difference(a, b, n, k)
-        params = {"a": a, "b": b, "n": n, "k": k, "N1": n1, "N2": n2}
-        recs.append(_record(params, pred, vals[k], (a, b, n, k)))
-    return recs
+def _shifted_power(r: dict) -> Iterator[tuple]:
+    """nu2(S(c*2**n + 2**m, 2**n)) = n - 1 - m for 0 <= m < n."""
+    cs, ns = _odd_list(r, "c"), _int_list(r, "n", floor=1)
+    for c in cs:
+        for n in ns:
+            k = 1 << n
+            for m in range(n):
+                big_n = (c << n) + (1 << m)
+                params = {"c": c, "n": n, "m": m, "N": big_n, "k": k}
+                yield (c, n, m), params, (P.predict_val_shifted_power, c, n, m), (big_n, None, k)
 
 
-def _ct_difference(r: dict) -> int:
-    return len(_pair_list(r)) * sum(len(_diff_ks(n)) for n in _int_list(r, "n"))
+def _theta(r: dict) -> Iterator[tuple]:
+    """nu2(S(c*2**n - a, k - 2a)) from the top-run lemma."""
+    cs, ns = _odd_list(r, "c"), _int_list(r, "n", floor=2)
+    for c in cs:
+        for n in ns:
+            for k in range(3, (1 << n) + 1):
+                if s2(k) < 2 or is_power_of_two(k) or is_power_of_two(k + 1):
+                    continue
+                for a in range(1, -(-k // 2)):
+                    arg_n, arg_k = (c << n) - a, k - 2 * a
+                    params = {"c": c, "n": n, "k": k, "a": a, "arg_n": arg_n, "arg_k": arg_k}
+                    claim = (P.predict_val_theta, c, n, a, k)
+                    yield (c, n, k, a), params, claim, (arg_n, None, arg_k)
 
 
-# -- lem-shifted-power: nu2(S(c*2**n + 2**m, 2**n)) = n - 1 - m
-
-def _sh_shifted_power(r: dict) -> list:
-    cs = _int_list(r, "c")
-    _require_odd(cs, "c")
-    return [(c, n) for c in cs for n in _int_list(r, "n", floor=1)]
-
-
-def _ev_shifted_power(shard: tuple, r: dict, policy: PrecisionPolicy) -> list[CellRecord]:
-    c, n = shard
-    recs = []
-    for m in range(n):
-        big_n = (c << n) + (1 << m)
-        k = 1 << n
-        pred = P.predict_val_shifted_power(c, n, m)
-        observed = _vals_for_row(big_n, [k], policy)[k]
-        params = {"c": c, "n": n, "m": m, "N": big_n, "k": k}
-        recs.append(_record(params, pred, observed, (c, n, m)))
-    return recs
+def _junod(r: dict) -> Iterator[tuple]:
+    """Junod's Bell-polynomial congruence."""
+    ps, vs = _int_list(r, "p", floor=2), _int_list(r, "v", floor=1)
+    ms, ns = _int_list(r, "m", floor=0), _int_list(r, "n", floor=1)
+    for p, v, m, n in itertools.product(ps, vs, ms, ns):
+        params = {"p": p, "v": v, "m": m, "n": n}
+        claim = ("Lem-Junod", "congruence", None)
+        yield (p, v, m, n), params, claim, partial(junod_check, m, n, v, p)
 
 
-def _ct_shifted_power(r: dict) -> int:
-    return len(_int_list(r, "c")) * sum(n for n in _int_list(r, "n"))
-
-
-# -- lem-theta: nu2(S(c*2**n - a, k - 2a)) from the top-run lemma
-
-def _theta_ks(n: int) -> list[int]:
-    out = []
-    for k in range(3, (1 << n) + 1):
-        if s2(k) < 2 or is_power_of_two(k) or is_power_of_two(k + 1):
-            continue
-        out.append(k)
-    return out
-
-
-def _sh_theta(r: dict) -> list:
-    cs = _int_list(r, "c")
-    _require_odd(cs, "c")
-    return [(c, n) for c in cs for n in _int_list(r, "n", floor=2)]
-
-
-def _ev_theta(shard: tuple, r: dict, policy: PrecisionPolicy) -> list[CellRecord]:
-    c, n = shard
-    by_a: dict[int, list[int]] = {}
-    for k in _theta_ks(n):
-        for a in range(1, -(-k // 2)):
-            by_a.setdefault(a, []).append(k)
-    recs = []
-    for a, ks in sorted(by_a.items()):
-        arg_n = (c << n) - a
-        vals = _vals_for_row(arg_n, [k - 2 * a for k in ks], policy)
-        for k in ks:
-            pred = P.predict_val_theta(c, n, a, k)
-            params = {"c": c, "n": n, "k": k, "a": a, "arg_n": arg_n, "arg_k": k - 2 * a}
-            recs.append(_record(params, pred, vals[k - 2 * a], (c, n, k, a)))
-    recs.sort(key=lambda rec: rec.order)
-    return recs
-
-
-def _ct_theta(r: dict) -> int:
-    total = 0
-    for n in _int_list(r, "n"):
-        total += sum(-(-k // 2) - 1 for k in _theta_ks(n))
-    return total * len(_int_list(r, "c"))
-
-
-# -- junod: Bell-polynomial congruence suite
-
-def _sh_junod(r: dict) -> list:
-    return [
-        (p, v, m)
-        for p in _int_list(r, "p", floor=2)
-        for v in _int_list(r, "v", floor=1)
-        for m in _int_list(r, "m", floor=0)
-    ]
-
-
-def _ev_junod(shard: tuple, r: dict, policy: PrecisionPolicy) -> list[CellRecord]:
-    p, v, m = shard
-    recs = []
-    for n in _int_list(r, "n"):
-        holds, slack = junod_check(m, n, v, p)
-        params = {"p": p, "v": v, "m": m, "n": n, "slack": str(slack)}
-        recs.append(_bool_record(params, "Lem-Junod", "congruence", holds, (p, v, m, n)))
-    return recs
-
-
-def _ct_junod(r: dict) -> int:
-    return (
-        len(_int_list(r, "p"))
-        * len(_int_list(r, "v"))
-        * len(_int_list(r, "m"))
-        * len(_int_list(r, "n"))
-    )
-
-
-# -- identities: convolution + symmetric product suites
-
-def _sh_identities(r: dict) -> list:
-    shards = [("convolution", n, m) for n in _int_list(r, "conv_n") for m in _int_list(r, "conv_m")]
-    shards += [("symmetric", k1, k2) for k1 in _int_list(r, "sym_k1") for k2 in _int_list(r, "sym_k2")]
-    return shards
-
-
-def _ev_identities(shard: tuple, r: dict, policy: PrecisionPolicy) -> list[CellRecord]:
-    recs = []
-    if shard[0] == "convolution":
-        _, n, m = shard
+def _identities(r: dict) -> Iterator[tuple]:
+    """The convolution and symmetric product identities."""
+    conv_n, conv_m = _int_list(r, "conv_n", floor=0), _int_list(r, "conv_m", floor=0)
+    sym_k1, sym_k2 = _int_list(r, "sym_k1", floor=0), _int_list(r, "sym_k2", floor=0)
+    for n, m in itertools.product(conv_n, conv_m):
         for k in range(n + m + 1):
-            holds = check_convolution(n, m, k)
             params = {"identity": "convolution", "n": n, "m": m, "k": k}
-            recs.append(
-                _bool_record(params, "Lem-Convolution", "identity", holds, ("convolution", n, m, k))
-            )
-    else:
-        _, k1, k2 = shard
+            claim = ("Lem-Convolution", "identity", None)
+            yield ("convolution", n, m, k), params, claim, partial(check_convolution, n, m, k)
+    for k1, k2 in itertools.product(sym_k1, sym_k2):
         for rr in range(max(k1, k2) + 2, k1 + k2 + 3):
-            holds = check_symmetric_identity(k1, k2, rr)
             params = {"identity": "symmetric", "k1": k1, "k2": k2, "r": rr}
-            recs.append(
-                _bool_record(params, "Lem-SymmetricProduct", "identity", holds, ("symmetric", k1, k2, rr))
-            )
-    return recs
+            claim = ("Lem-SymmetricProduct", "identity", None)
+            query = partial(check_symmetric_identity, k1, k2, rr)
+            yield ("symmetric", k1, k2, rr), params, claim, query
 
 
-def _ct_identities(r: dict) -> int:
-    total = sum(
-        n + m + 1 for n in _int_list(r, "conv_n") for m in _int_list(r, "conv_m")
-    )
-    total += sum(
-        (k1 + k2 + 3) - (max(k1, k2) + 2)
-        for k1 in _int_list(r, "sym_k1")
-        for k2 in _int_list(r, "sym_k2")
-    )
-    return total
+def _count_j(r: dict) -> Iterator[tuple]:
+    """The closed-form |J| against enumeration."""
+    for n in _int_list(r, "n", floor=0):
+        for a in range(1, 1 << (n + 1)):
+            claim = ("Lem-CountJ", "count", count_J(n, a))
+            yield (n, a), {"n": n, "a": a}, claim, partial(brute_force_J, n, a)
 
 
-# -- count-J: closed-form |J| against enumeration
-
-def _sh_count_j(r: dict) -> list:
-    return [(n,) for n in _int_list(r, "n", floor=0)]
-
-
-def _ev_count_j(shard: tuple, r: dict, policy: PrecisionPolicy) -> list[CellRecord]:
-    (n,) = shard
-    recs = []
-    for a in range(1, 1 << (n + 1)):
-        expected = count_J(n, a)
-        actual = len(brute_force_J(n, a))
-        recs.append(
-            CellRecord(
-                params={"n": n, "a": a},
-                source="Lem-CountJ",
-                claim_kind="count",
-                claim_value=expected,
-                observed_kind="count",
-                observed_value=actual,
-                verdict=CONFIRMED if expected == actual else VIOLATED,
-                order=(n, a),
-            )
-        )
-    return recs
-
-
-def _ct_count_j(r: dict) -> int:
-    return sum((1 << (n + 1)) - 1 for n in _int_list(r, "n"))
-
-
-# -- diff-congruence: the binomial-sum congruence behind the difference formula
-
-def _sh_diff_congruence(r: dict) -> list:
-    return [(a, b, n) for a, b in _pair_list(r) for n in _int_list(r, "n", floor=2)]
-
-
-def _ev_diff_congruence(shard: tuple, r: dict, policy: PrecisionPolicy) -> list[CellRecord]:
-    a, b, n = shard
-    recs = []
-    for k in _diff_ks(n):
-        holds = check_diff_congruence(a, b, n, k)
-        params = {"a": a, "b": b, "n": n, "k": k, "mod_bits": n + nu2_int(a - b)}
-        recs.append(
-            _bool_record(params, "Lem-DiffCongruence", "congruence", holds, (a, b, n, k))
-        )
-    return recs
+def _diff_congruence(r: dict) -> Iterator[tuple]:
+    """The binomial-sum congruence behind the difference formula."""
+    pairs, ns = _pair_list(r), _int_list(r, "n", floor=2)
+    for a, b in pairs:
+        for n in ns:
+            mod_bits = n + nu2_int(a - b)
+            for k in _diff_ks(n):
+                params = {"a": a, "b": b, "n": n, "k": k, "mod_bits": mod_bits}
+                claim = ("Lem-DiffCongruence", "congruence", None)
+                yield (a, b, n, k), params, claim, partial(check_diff_congruence, a, b, n, k)
 
 
 _TARGETS: dict[str, _Target] = {
-    "lengyel-eq": _Target(
-        "lengyel-eq",
-        ("n", "c", "k", "N"),
-        {"n": list(range(1, 10)), "c": [1, 3, 5, 7]},
-        _sh_lengyel,
-        _ev_lengyel,
-        _ct_lengyel,
-    ),
-    "thm-lower": _Target(
-        "thm-lower",
-        ("n", "c", "b", "a", "k", "N"),
-        {"n": list(range(1, 8)), "c": [1, 3, 5, 7, 9]},
-        _sh_lower,
-        _ev_lower,
-        _ct_lower,
-    ),
-    "thm-diagonal": _Target(
-        "thm-diagonal",
-        ("n", "c", "a", "k", "N"),
-        {"n": list(range(2, 10)), "c": [1, 3, 5, 7]},
-        _sh_diagonal,
-        _ev_diagonal,
-        _ct_diagonal,
-    ),
-    "thm-shifted-triple": _Target(
-        "thm-shifted-triple",
-        ("n", "b", "m", "c", "a", "k", "N"),
-        {"n": list(range(1, 6)), "b": list(range(1, 8)), "c": [1, 3], "m_offsets": [0, 1, 2]},
-        _sh_triple,
-        _ev_triple,
-        _ct_triple,
-    ),
-    "thm-difference": _Target(
-        "thm-difference",
-        ("a", "b", "n", "k", "N1", "N2"),
-        {"n": list(range(2, 9)), "pairs": [(2, 1), (3, 1), (3, 2), (4, 2), (5, 1)]},
-        _sh_difference,
-        _ev_difference,
-        _ct_difference,
-    ),
-    "lem-shifted-power": _Target(
-        "lem-shifted-power",
-        ("c", "n", "m", "N", "k"),
-        {"c": [1, 3, 5], "n": list(range(1, 9))},
-        _sh_shifted_power,
-        _ev_shifted_power,
-        _ct_shifted_power,
-    ),
-    "lem-theta": _Target(
-        "lem-theta",
-        ("c", "n", "k", "a", "arg_n", "arg_k"),
-        {"c": [1, 3], "n": list(range(3, 8))},
-        _sh_theta,
-        _ev_theta,
-        _ct_theta,
-    ),
-    "junod": _Target(
-        "junod",
-        ("p", "v", "m", "n", "slack"),
-        {"p": [2], "v": [1, 2], "m": list(range(0, 9)), "n": list(range(1, 9))},
-        _sh_junod,
-        _ev_junod,
-        _ct_junod,
-    ),
-    "identities": _Target(
-        "identities",
-        ("identity", "n", "m", "k", "k1", "k2", "r"),
-        {
-            "conv_n": list(range(0, 13)),
-            "conv_m": list(range(1, 13)),
-            "sym_k1": list(range(0, 7)),
-            "sym_k2": list(range(0, 7)),
-        },
-        _sh_identities,
-        _ev_identities,
-        _ct_identities,
-    ),
-    "count-J": _Target(
-        "count-J",
-        ("n", "a"),
-        {"n": list(range(0, 9))},
-        _sh_count_j,
-        _ev_count_j,
-        _ct_count_j,
-    ),
-    "diff-congruence": _Target(
-        "diff-congruence",
-        ("a", "b", "n", "k", "mod_bits"),
-        {"n": list(range(2, 7)), "pairs": [(2, 1), (3, 1), (3, 2), (4, 2), (5, 1)]},
-        _sh_diff_congruence,
-        _ev_diff_congruence,
-        _ct_difference,
-    ),
+    target.name: target
+    for target in (
+        _Target(
+            "lengyel-eq",
+            ("n", "c", "k", "N"),
+            {"n": list(range(1, 10)), "c": [1, 3, 5, 7]},
+            _lengyel,
+        ),
+        _Target(
+            "thm-lower",
+            ("n", "c", "b", "a", "k", "N"),
+            {"n": list(range(1, 8)), "c": [1, 3, 5, 7, 9]},
+            _lower,
+        ),
+        _Target(
+            "thm-diagonal",
+            ("n", "c", "a", "k", "N"),
+            {"n": list(range(2, 10)), "c": [1, 3, 5, 7]},
+            _diagonal,
+        ),
+        _Target(
+            "thm-shifted-triple",
+            ("n", "b", "m", "c", "a", "k", "N"),
+            {"n": list(range(1, 6)), "b": list(range(1, 8)), "c": [1, 3], "m_offsets": [0, 1, 2]},
+            _triple,
+        ),
+        _Target(
+            "thm-difference",
+            ("a", "b", "n", "k", "N1", "N2"),
+            {"n": list(range(2, 9)), "pairs": [(2, 1), (3, 1), (3, 2), (4, 2), (5, 1)]},
+            _difference,
+        ),
+        _Target(
+            "lem-shifted-power",
+            ("c", "n", "m", "N", "k"),
+            {"c": [1, 3, 5], "n": list(range(1, 9))},
+            _shifted_power,
+        ),
+        _Target(
+            "lem-theta",
+            ("c", "n", "k", "a", "arg_n", "arg_k"),
+            {"c": [1, 3], "n": list(range(3, 8))},
+            _theta,
+        ),
+        _Target(
+            "junod",
+            ("p", "v", "m", "n", "slack"),
+            {"p": [2], "v": [1, 2], "m": list(range(0, 9)), "n": list(range(1, 9))},
+            _junod,
+        ),
+        _Target(
+            "identities",
+            ("identity", "n", "m", "k", "k1", "k2", "r"),
+            {
+                "conv_n": list(range(0, 13)),
+                "conv_m": list(range(1, 13)),
+                "sym_k1": list(range(0, 7)),
+                "sym_k2": list(range(0, 7)),
+            },
+            _identities,
+        ),
+        _Target("count-J", ("n", "a"), {"n": list(range(0, 9))}, _count_j),
+        _Target(
+            "diff-congruence",
+            ("a", "b", "n", "k", "mod_bits"),
+            {"n": list(range(2, 7)), "pairs": [(2, 1), (3, 1), (3, 2), (4, 2), (5, 1)]},
+            _diff_congruence,
+        ),
+    )
 }
 
 
@@ -705,21 +500,14 @@ class SweepReport:
 
     @property
     def summary(self) -> dict:
-        counts = {v: 0 for v in _VERDICT_ORDER}
+        counts = {v: 0 for v in VERDICT_ORDER}
         for rec in self.records:
             counts[rec.verdict] += 1
         return {"cells": len(self.records), **counts}
 
     @property
     def exit_code(self) -> int:
-        s = self.summary
-        if s[VIOLATED]:
-            return EXIT_VIOLATION
-        if s[CONJECTURE_DEVIATION]:
-            return EXIT_CONJECTURE_DEVIATION
-        if s[INDETERMINATE]:
-            return EXIT_INDETERMINATE
-        return EXIT_OK
+        return verdict_exit_code({rec.verdict for rec in self.records})
 
     def cells(self, verdict: str) -> list[CellRecord]:
         return [rec for rec in self.records if rec.verdict == verdict]
@@ -785,30 +573,65 @@ def _config_echo(target: str, ranges: dict, policy: PrecisionPolicy) -> dict:
     }
 
 
-def _eval_task(args: tuple) -> list[CellRecord]:
-    name, shard, ranges, policy = args
-    return _TARGETS[name].evaluate(shard, ranges, policy)
-
-
-def _run_shards(
-    tasks: list[tuple], workers: int, evaluate: Callable[[tuple], list[CellRecord]]
-) -> list[CellRecord]:
+def _run_shards(tasks: list, workers: int, evaluate: Callable[[tuple], object]) -> list:
+    """evaluate(task) for every task, in task order, on up to `workers` processes."""
     if workers < 1:
         raise DomainError(f"need workers >= 1, got {workers}")
     # ProcessPoolExecutor may start all max_workers processes up front
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(evaluate, tasks))
-    else:
-        chunks = [evaluate(t) for t in tasks]
-    records = [rec for chunk in chunks for rec in chunk]
+            return list(pool.map(evaluate, tasks))
+    return [evaluate(t) for t in tasks]
+
+
+def _evaluate(task: tuple) -> object:
+    """Valuations {k: nu2} of one row or row pair, or the results of a run of checks."""
+    row, items, policy = task
+    if row is None:
+        return [check() for check in items]
+    return valuations(row[0], items, policy, row[1])
+
+
+def _run_cells(cells: list[tuple], policy: PrecisionPolicy, workers: int) -> list[CellRecord]:
+    """Evaluate and classify cells (order, params, claim, query).
+
+    Valuation queries are grouped by row: each row N, or row pair (N1, N2),
+    is one task for all the columns asked of it.  Exact checks are grouped
+    into runs of cells whose order agrees up to its last coordinate.
+    Records are made here, from results keyed by row and run, so neither
+    the number of workers nor the order of tasks can change them.
+    """
+    rows: dict[tuple, list[int]] = {}
+    runs: dict[tuple, list[partial]] = {}
+    for order, _, _, query in cells:
+        if isinstance(query, partial):
+            runs.setdefault(order[:-1], []).append(query)
+        else:
+            rows.setdefault(query[:2], []).append(query[2])
+    tasks = [(row, ks, policy) for row, ks in rows.items()]
+    tasks += [(None, run, None) for run in runs.values()]
+    results = _run_shards(tasks, workers, _evaluate)
+    vals = dict(zip(rows, results))
+    checked = {key: iter(run) for key, run in zip(runs, results[len(rows):])}
+    records = []
+    for order, params, claim, query in cells:
+        if isinstance(query, partial):
+            records.append(_check_record(order, params, claim, next(checked[order[:-1]])))
+        else:
+            predict, *args = claim
+            observed = vals[query[:2]][query[2]]
+            records.append(_record(params, predict(*args), observed, order))
     records.sort(key=lambda rec: rec.order)
     return records
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
-    """Run one sweep target over its grid and classify every cell."""
+    """Run one sweep target over its grid and classify every cell.
+
+    The grid is counted by a lazy pass over its cells, before any engine
+    work, and refused when it has more than config.cell_cap cells.
+    """
     if config.target not in _TARGETS:
         raise DomainError(f"unknown sweep target {config.target!r}")
     target = _TARGETS[config.target]
@@ -816,16 +639,11 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     if unknown:
         raise DomainError(f"unknown range parameter(s) for {config.target}: {sorted(unknown)}")
     ranges = {**target.defaults, **config.ranges}
-    n_cells = target.count(ranges)
-    if n_cells > config.cell_cap:
-        raise ResourceCapError(f"grid of {n_cells} cells exceeds cap {config.cell_cap}")
+    cap = config.cell_cap
+    if sum(1 for _ in itertools.islice(target.cells(ranges), cap + 1)) > cap:
+        raise ResourceCapError(f"grid has more cells than the cap of {cap}")
     start = time.perf_counter()
-    tasks = [(config.target, shard, ranges, config.policy) for shard in target.shards(ranges)]
-    records = _run_shards(tasks, config.workers, _eval_task)
-    if len(records) != n_cells:
-        raise RuntimeError(
-            f"internal error: {config.target} produced {len(records)} records for {n_cells} cells"
-        )
+    records = _run_cells(list(target.cells(ranges)), config.policy, config.workers)
     return SweepReport(
         target=config.target,
         config=_config_echo(config.target, ranges, config.policy),
@@ -871,18 +689,20 @@ _SCANNER_COLUMNS = ("n", "m", "a", "b", "k", "arg_n1", "arg_n2")
 DEFAULT_SCANNER_POLICY = PrecisionPolicy(initial_bits=48, max_bits=8192)
 
 
-def _scan_task(args: tuple) -> list[CellRecord]:
-    a, b, n, ms, policy = args
-    exp = n + 1  # cells use arguments a*2**(n+1); records echo them raw
-    n1, n2 = a << exp, b << exp
-    ks = [(1 << m) - 1 for m in ms]
-    vals = _diff_vals(n1, n2, ks, policy)
-    recs = []
-    for m, k in zip(ms, ks):
-        pred = P.predict_val_difference(a, b, exp, k)
-        params = {"n": n, "m": m, "a": a, "b": b, "k": k, "arg_n1": n1, "arg_n2": n2}
-        recs.append(_record(params, pred, vals[k], (n, m, a, b)))
-    return recs
+def _scan_cells(
+    ns: list[int], pairs: list[tuple[int, int]], wanted_m: list[int] | None
+) -> Iterator[tuple]:
+    for n in ns:
+        exp = n + 1  # cells use arguments a*2**(n+1); records echo them raw
+        for m in wanted_m or range(2, n + 1):
+            k = (1 << m) - 1
+            if k > 1 << n:
+                continue
+            for a, b in pairs:
+                n1, n2 = a << exp, b << exp
+                params = {"n": n, "m": m, "a": a, "b": b, "k": k, "arg_n1": n1, "arg_n2": n2}
+                claim = (P.predict_val_difference, a, b, exp, k)
+                yield (n, m, a, b), params, claim, (n1, n2, k)
 
 
 def scan_conjecture_mersenne(
@@ -912,14 +732,7 @@ def scan_conjecture_mersenne(
     if wanted_m and wanted_m[0] < 2:
         raise DomainError(f"scanner needs m >= 2, got {wanted_m[0]}")
     start = time.perf_counter()
-    tasks = []
-    for n in ns:
-        ms = [m for m in (wanted_m or range(2, n + 1)) if (1 << m) - 1 <= (1 << n)]
-        if not ms:
-            continue
-        for a, b in pair_list:
-            tasks.append((a, b, n, ms, policy))
-    records = _run_shards(tasks, workers, _scan_task)
+    records = _run_cells(list(_scan_cells(ns, pair_list, wanted_m)), policy, workers)
     config = {
         "target": "conjecture-mersenne",
         "ranges": {
@@ -989,7 +802,7 @@ def cross_validate(
     # warm the shared exact triangle once; worker processes inherit or rebuild
     stirling_exact(min(n_max, DEFAULT_EXACT_CAP), min(n_max, k_max))
     tasks = [(bits, n_max, k_max) for bits in bits_values]
-    records = _run_shards(tasks, workers, _cross_task)
+    records = [rec for chunk in _run_shards(tasks, workers, _cross_task) for rec in chunk]
     config = {
         "target": "cross-validate",
         "ranges": {"n_max": n_max, "k_max": k_max, "bits": bits_values},

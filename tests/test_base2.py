@@ -11,9 +11,7 @@ from stirling2adic.base2 import (
     ceil_log2,
     count_J,
     delta_conjecture,
-    delta_theorem,
     digit_additive,
-    is_power_of_two,
     kummer_binomial_val,
     legendre_factorial_val,
     mersenne_power_val,
@@ -254,15 +252,6 @@ class TestTheta:
 
 
 class TestDeltas:
-    def test_theorem_variant(self):
-        assert delta_theorem(4) == 2
-        assert delta_theorem(8) == 1
-        assert delta_theorem(12) == 0
-        assert delta_theorem(16) == 1
-        assert delta_theorem(7) == 0  # Mersenne shapes excluded in this variant
-        with pytest.raises(DomainError):
-            delta_theorem(2)
-
     def test_conjecture_variant(self):
         assert delta_conjecture(7) == 1
         assert delta_conjecture(4) == 2
@@ -273,11 +262,6 @@ class TestDeltas:
         assert delta_conjecture(16) == 1
         with pytest.raises(DomainError):
             delta_conjecture(2)
-
-    def test_variants_differ_only_one_below_powers(self):
-        for k in range(3, 1 << 12):
-            expected_gap = 1 if is_power_of_two(k + 1) else 0
-            assert delta_conjecture(k) - delta_theorem(k) == expected_gap
 
 
 class TestBinaryProfile:

@@ -4,6 +4,7 @@ import pytest
 
 from stirling2adic.cli import main, parse_int_list, parse_pairs
 from stirling2adic.errors import DomainError
+from stirling2adic.verify import sweep_targets
 
 
 def run_cli(capsys, *argv):
@@ -132,6 +133,22 @@ class TestSweep:
         code, _, _ = run_cli(capsys, "sweep", "bogus")
         assert code == 64
 
+    @pytest.mark.parametrize("target", sweep_targets())
+    def test_negative_range_is_usage_error(self, capsys, target):
+        key = "conv_n" if target == "identities" else "n"
+        code, out, err = run_cli(capsys, "sweep", target, "--range", f"{key}=-1..2")
+        assert code == 64
+        assert out == ""
+        assert "error:" in err
+
+    def test_cell_cap_is_resource_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "lengyel-eq", "--range", "n=60", "--cell-cap", "1000"
+        )
+        assert code == 70
+        assert out == ""
+        assert "cap" in err
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, out, _ = run_cli(
@@ -169,6 +186,13 @@ class TestSweep:
 
 
 class TestScanConjecture:
+    def test_default_precision_is_wider_than_other_commands(self, capsys):
+        code, out, _ = run_cli(capsys, "scan-conjecture", "--n", "2..3", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["config"]["policy"] == {"initial_bits": 48, "max_bits": 8192}
+        _, out, _ = run_cli(capsys, "sweep", "count-J", "--range", "n=1", "--format", "json")
+        assert json.loads(out)["config"]["policy"] == {"initial_bits": 48, "max_bits": 4096}
+
     def test_all_observed(self, capsys):
         code, out, _ = run_cli(
             capsys, "scan-conjecture", "--n", "2..4", "--pairs", "2:1,3:1"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stirling2adic import engine
 from stirling2adic.base2 import Valuation, nu2_int
 from stirling2adic.engine import (
     PrecisionPolicy,
@@ -18,6 +19,7 @@ from stirling2adic.engine import (
     stirling_rows_mod2,
     val_stirling,
     val_stirling_difference,
+    valuations,
 )
 from stirling2adic.errors import DomainError, ResourceCapError
 
@@ -202,6 +204,41 @@ class TestValDifference:
     def test_rejects_bad_k(self):
         with pytest.raises(DomainError):
             val_stirling_difference(16, 8, 9)
+
+
+class TestValuations:
+    @pytest.mark.parametrize("n2", [None, 9])
+    def test_one_pass_per_rung_over_pending_columns(self, monkeypatch, n2):
+        n1, ks, policy = 25, range(1, 10), PrecisionPolicy(1, 8)
+        exact = {
+            k: stirling_exact(n1, k) - (0 if n2 is None else stirling_exact(n2, k)) for k in ks
+        }
+        passes = []
+
+        def rows(ns, k_max, bits):
+            passes.append((tuple(ns), k_max, bits))
+            return stirling_rows_mod2(ns, k_max, bits)
+
+        monkeypatch.setattr(engine, "stirling_rows_mod2", rows)
+        out = valuations(n1, ks, policy, n2)
+        expected_passes, pending = [], set(ks)
+        for bits in policy.ladder():
+            if pending:
+                ns = (n1,) if n2 is None else (n1, n2)
+                expected_passes.append((ns, max(pending), bits))
+                pending = {k for k in pending if exact[k] % (1 << bits) == 0}
+        assert passes == expected_passes
+        for k in ks:
+            if exact[k] % (1 << policy.max_bits):
+                assert out[k] == Valuation.finite(nu2_int(exact[k])), k
+            else:
+                assert out[k] == Valuation.at_least(policy.max_bits), k
+
+    def test_zero_columns_exhaust_the_ladder(self):
+        # S(5, 7) = 0 and S(12, 3) - S(12, 3) = 0: the caller's cases to rule out
+        policy = PrecisionPolicy(8, 16)
+        assert valuations(5, [7, 3], policy) == {7: Valuation.at_least(16), 3: Valuation.finite(0)}
+        assert valuations(12, [3], policy, 12) == {3: Valuation.at_least(16)}
 
 
 class TestConvolution:

@@ -1,6 +1,6 @@
 import pytest
 
-from stirling2adic.base2 import is_power_of_two, nu2_int, s2
+from stirling2adic.base2 import ceil_log2, is_power_of_two, nu2_int, s2
 from stirling2adic.engine import stirling_exact, val_stirling, val_stirling_difference
 from stirling2adic.errors import DomainError
 from stirling2adic.predictors import (
@@ -141,6 +141,26 @@ class TestDifference:
             p = predict_val_difference(2, 1, n, 4)
             assert p.value == n + 1
         assert val_stirling_difference(16, 8, 4).exact() == 4
+
+    def test_one_formula_matches_the_proved_and_conjectured_branches(self):
+        # n + 1 + nu2(a-b) - f(k) against the proved formula with its own
+        # delta (0 at k = 2**m - 1) and the conjectured value at k = 2**m - 1
+        cells = 0
+        for a in range(2, 12):
+            for b in range(1, a):
+                for n in range(2, 11):
+                    for k in range(3, (1 << n) + 1):
+                        p = predict_val_difference(a, b, n, k)
+                        if is_power_of_two(k + 1):
+                            value = n + 1 + nu2_int(a - b)
+                            expected = (CONJECTURAL_EQUALITY, value, SRC_CONJ_MERSENNE)
+                        else:
+                            delta = 2 if k == 4 else 1 if is_power_of_two(k) else 0
+                            value = n + nu2_int(a - b) - ceil_log2(k) + s2(k) + delta
+                            expected = (EQUALITY, value, SRC_THM_DIFFERENCE)
+                        assert (p.kind, p.value, p.source) == expected, (a, b, n, k)
+                        cells += 1
+        assert cells == 111_430
 
     def test_mersenne_is_conjectural(self):
         p = predict_val_difference(3, 1, 5, 7)

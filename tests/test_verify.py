@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -8,7 +9,7 @@ from pinned_cells import (
     congruence_residue,
     stirling2,
 )
-from stirling2adic import verify
+from stirling2adic import engine, verify
 from stirling2adic.base2 import Valuation
 from stirling2adic.engine import PrecisionPolicy, stirling_exact
 from stirling2adic.errors import DomainError, ResourceCapError
@@ -112,6 +113,20 @@ class TestRunSweep:
     def test_cell_cap(self):
         with pytest.raises(ResourceCapError):
             run_sweep(SweepConfig("lengyel-eq", {"n": [1, 2, 3]}, cell_cap=5))
+        report = run_sweep(SweepConfig("lengyel-eq", {"n": [1, 2, 3]}, cell_cap=4 * 14))
+        assert report.summary["cells"] == 4 * 14
+
+    def test_cell_cap_holds_before_any_work(self, monkeypatch):
+        # 4 * 2**60 cells: counted lazily up to the cap, nothing evaluated or listed
+        def fail(*args, **kwargs):
+            raise AssertionError("work started on a grid over the cap")
+
+        monkeypatch.setattr(engine, "stirling_rows_mod2", fail)
+        monkeypatch.setattr(verify, "_run_cells", fail)
+        start = time.process_time()
+        with pytest.raises(ResourceCapError):
+            run_sweep(SweepConfig("lengyel-eq", {"n": [60]}))
+        assert time.process_time() - start < 15
 
     def test_even_c_rejected_where_oddness_matters(self):
         with pytest.raises(DomainError):
