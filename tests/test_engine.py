@@ -207,9 +207,17 @@ class TestValDifference:
 
 
 class TestValuations:
-    @pytest.mark.parametrize("n2", [None, 9])
-    def test_one_pass_per_rung_over_pending_columns(self, monkeypatch, n2):
-        n1, ks, policy = 25, range(1, 10), PrecisionPolicy(1, 8)
+    @pytest.mark.parametrize(
+        "n1, n2, policy",
+        [
+            (25, None, PrecisionPolicy(1, 8)),
+            (25, 9, PrecisionPolicy(1, 8)),
+            # nu2(S(80, 2) - S(70, 2)) = 69: certified on the wide tier at 132 bits
+            (80, 70, PrecisionPolicy(33, 132)),
+        ],
+    )
+    def test_one_pass_per_rung_over_pending_columns(self, monkeypatch, n1, n2, policy):
+        ks = range(1, 10)
         exact = {
             k: stirling_exact(n1, k) - (0 if n2 is None else stirling_exact(n2, k)) for k in ks
         }

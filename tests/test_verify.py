@@ -387,11 +387,9 @@ def pools(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
+        def map(self, fn, tasks):
             # run the tasks last to first; results come back in task order
-            tasks = list(tasks)
-            done = [fn(task) for task in reversed(tasks)]
-            return reversed(done)
+            return reversed([fn(task) for task in reversed(list(tasks))])
 
     monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
@@ -448,7 +446,8 @@ class TestShardOrder:
         checks = {"junod", "identities", "count-J", "diff-congruence"}
         assert set(VALUATION_GRIDS) == set(sweep_targets()) - checks
 
-    def test_check_cells_run_in_worker_processes(self):
+    def test_check_cells_run_in_worker_processes(self, monkeypatch):
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)  # a real pool on any host
         ranges = {"p": [2], "v": [1, 2], "m": [0, 1], "n": [1, 2, 3]}
         serial = run_sweep(SweepConfig("junod", ranges, workers=1))
         pooled = run_sweep(SweepConfig("junod", ranges, workers=2))
