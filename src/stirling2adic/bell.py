@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .base2 import Valuation, nu2_int
-from .engine import Residue, stirling_exact, stirling_row_mod2
+from .engine import Residue, stirling_exact, stirling_row_mod2, stirling_rows_mod2
 from .errors import DomainError, PrecisionError
 
 __all__ = ["PolyMod", "bell_poly", "junod_check"]
@@ -95,23 +95,19 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _rhs_coeffs(m: int, n: int, v: int, p: int, cap: int, bits: int | None) -> list[int]:
-    mask = None if bits is None else (1 << bits) - 1
+def _rhs_coeffs(bells: list[list[int]], v: int, p: int, cap: int, mask: int | None) -> list[int]:
+    """Right-side coefficients up to degree cap from bells[j], those of B_{m+j}, j <= n."""
     gap = [0] * (p**v + 1)
     for t in range(1, v + 1):
         gap[p**t] = 1
     rhs = [0] * (cap + 1)
     gpow = [1]  # (x**p + ... + x**(p**v)) ** e, e = n - j as j descends
+    n = len(bells) - 1
     for e, j in enumerate(range(n, -1, -1)):
         if e > 0:
             gpow = _poly_mul(gpow, gap, cap, mask)
-        if bits is not None:
-            bell = stirling_row_mod2(m + j, min(m + j, cap), bits)
-            cnj = math.comb(n, j) & mask
-        else:
-            bell = [stirling_exact(m + j, k) for k in range(min(m + j, cap) + 1)]
-            cnj = math.comb(n, j)
-        term = _poly_mul(gpow, bell, cap, mask)
+        cnj = math.comb(n, j) if mask is None else math.comb(n, j) & mask
+        term = _poly_mul(gpow, bells[j], cap, mask)
         for i, t in enumerate(term):
             rhs[i] = rhs[i] + cnj * t
             if mask is not None:
@@ -154,8 +150,11 @@ def junod_check(
         if work_bits < 1:
             raise DomainError(f"need bits >= 1, got {work_bits}")
         mask = (1 << work_bits) - 1
-        lhs = stirling_row_mod2(full_degree, min(full_degree, cap), work_bits)
-        rhs = _rhs_coeffs(m, n, v, p, cap, work_bits)
+        ns = [*range(m, m + n + 1), full_degree]
+        rows = stirling_rows_mod2(ns, min(full_degree, cap), work_bits)
+        lhs = rows[full_degree]
+        bells = [rows[m + j][: min(m + j, cap) + 1] for j in range(n + 1)]
+        rhs = _rhs_coeffs(bells, v, p, cap, mask)
         lhs += [0] * (cap + 1 - len(lhs))
         diff = [(a - b) & mask for a, b in zip(lhs, rhs)]
         finite = [nu2_int(d) for d in diff if d]
@@ -171,7 +170,8 @@ def junod_check(
 
     required = _nu_p(n, p) + 1
     lhs_exact = [stirling_exact(full_degree, k) for k in range(min(full_degree, cap) + 1)]
-    rhs_exact = _rhs_coeffs(m, n, v, p, cap, None)
+    bells = [[stirling_exact(m + j, k) for k in range(min(m + j, cap) + 1)] for j in range(n + 1)]
+    rhs_exact = _rhs_coeffs(bells, v, p, cap, None)
     lhs_exact += [0] * (cap + 1 - len(lhs_exact))
     diff_exact = [a - b for a, b in zip(lhs_exact, rhs_exact)]
     finite = [_nu_p(d, p) for d in diff_exact if d]

@@ -76,8 +76,10 @@ def parse_pairs(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def _policy_from(args: argparse.Namespace, hint: int | None = None) -> PrecisionPolicy:
-    max_bits = PrecisionPolicy().max_bits if args.precision_max is None else args.precision_max
+def _policy_from(
+    args: argparse.Namespace, hint: int | None = None, default: PrecisionPolicy = PrecisionPolicy()
+) -> PrecisionPolicy:
+    max_bits = default.max_bits if args.precision_max is None else args.precision_max
     if args.precision_initial is not None:
         return PrecisionPolicy(args.precision_initial, max_bits)
     return PrecisionPolicy.for_predicted(hint, max_bits=max_bits)
@@ -242,11 +244,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     # the scanner's default is wider: conjectural valuations grow with n
-    default = V.DEFAULT_SCANNER_POLICY
-    policy = PrecisionPolicy(
-        default.initial_bits if args.precision_initial is None else args.precision_initial,
-        default.max_bits if args.precision_max is None else args.precision_max,
-    )
+    policy = _policy_from(args, default=V.DEFAULT_SCANNER_POLICY)
     report = V.scan_conjecture_mersenne(
         n_values=parse_int_list(args.n),
         pairs=parse_pairs(args.pairs),

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -48,6 +49,8 @@ DEFAULT_EXACT_CAP = 2000
 DEFAULT_ROW_CAP = 1 << 22  # row entries; memory is O(k * bits)
 
 _U64 = np.uint64
+
+Query = tuple[int, int | None, int]  # (n1, n2, k): nu2(S(n1, k)), or of S(n1, k) - S(n2, k)
 
 
 @dataclass(frozen=True)
@@ -91,29 +94,26 @@ class PrecisionPolicy:
             yield bits
 
     @classmethod
-    def for_predicted(
-        cls, predicted: int | None = None, guard: int = 32, max_bits: int = 4096
-    ) -> "PrecisionPolicy":
-        """Policy sized from a predicted valuation plus guard bits."""
+    def for_predicted(cls, predicted: int | None = None, max_bits: int = 4096) -> "PrecisionPolicy":
+        """Policy sized from a predicted valuation plus 32 guard bits."""
         base = predicted if predicted is not None else 16
-        return cls(initial_bits=min(max(base, 0) + guard, max_bits), max_bits=max_bits)
+        return cls(initial_bits=min(max(base, 0) + 32, max_bits), max_bits=max_bits)
 
 
 # ---------------------------------------------------------------------------
 # row engine (recurrence route)
 
 
-def _rows_numpy(n_targets: list[int], k_max: int, bits: int) -> dict[int, list[int]]:
+def _rows_numpy(want: dict[int, Sequence[int]], k_max: int, bits: int) -> dict[int, list[int]]:
     # bits <= 64: uint64 wraparound is the working modulus, masked on capture
-    mask = (1 << bits) - 1
+    mask = _U64((1 << bits) - 1)
     row = np.zeros(k_max + 1, dtype=_U64)
     row[0] = 1
     idx = np.arange(k_max + 1, dtype=_U64)
     buf = np.empty(k_max, dtype=_U64) if k_max else None
-    want = set(n_targets)
     out: dict[int, list[int]] = {}
     if 0 in want:
-        out[0] = [int(v) & mask for v in row]
+        out[0] = (row[want[0]] & mask).tolist()
     for step in range(1, max(want) + 1):
         if k_max:
             np.multiply(row[1:], idx[1:], out=buf)
@@ -121,34 +121,34 @@ def _rows_numpy(n_targets: list[int], k_max: int, bits: int) -> dict[int, list[i
             row[1:] = buf
         row[0] = 0
         if step in want:
-            out[step] = [int(v) & mask for v in row]
+            out[step] = (row[want[step]] & mask).tolist()
     return out
 
 
-def _rows_python(n_targets: list[int], k_max: int, bits: int) -> dict[int, list[int]]:
+def _rows_python(want: dict[int, Sequence[int]], k_max: int, bits: int) -> dict[int, list[int]]:
     mask = (1 << bits) - 1
     row = [0] * (k_max + 1)
     row[0] = 1
-    want = set(n_targets)
     out: dict[int, list[int]] = {}
     if 0 in want:
-        out[0] = row.copy()
+        out[0] = [row[k] for k in want[0]]
     for step in range(1, max(want) + 1):
         for j in range(k_max, 0, -1):
             row[j] = (row[j - 1] + j * row[j]) & mask
         row[0] = 0
         if step in want:
-            out[step] = row.copy()
+            out[step] = [row[k] for k in want[step]]
     return out
 
 
 def stirling_rows_mod2(
-    ns: Iterable[int], k_max: int, bits: int, row_cap: int = DEFAULT_ROW_CAP
+    ns: Iterable[int], k_max: int, bits: int, columns: Mapping[int, Sequence[int]] | None = None
 ) -> dict[int, list[int]]:
     """Rows S(n, 0..k_max) mod 2**bits for several n in one recurrence pass.
 
     Sharing the pass is exact because every requested row is an intermediate
-    state of the longest one.
+    state of the longest one.  With columns, which maps each n to some
+    k <= k_max, row n holds only S(n, k) for those k, in that order.
     """
     targets = sorted(set(ns))
     if not targets:
@@ -159,16 +159,17 @@ def stirling_rows_mod2(
         raise DomainError(f"need k_max >= 0, got {k_max}")
     if bits < 1:
         raise DomainError(f"need bits >= 1, got {bits}")
-    if k_max + 1 > row_cap:
-        raise ResourceCapError(f"row of {k_max + 1} entries exceeds cap {row_cap}")
+    if k_max + 1 > DEFAULT_ROW_CAP:
+        raise ResourceCapError(f"row of {k_max + 1} entries exceeds cap {DEFAULT_ROW_CAP}")
+    want = {n: range(k_max + 1) if columns is None else columns[n] for n in targets}
     if bits <= 64:
-        return _rows_numpy(targets, k_max, bits)
-    return _rows_python(targets, k_max, bits)
+        return _rows_numpy(want, k_max, bits)
+    return _rows_python(want, k_max, bits)
 
 
-def stirling_row_mod2(n: int, k_max: int, bits: int, row_cap: int = DEFAULT_ROW_CAP) -> list[int]:
+def stirling_row_mod2(n: int, k_max: int, bits: int) -> list[int]:
     """Row S(n, 0..k_max) mod 2**bits."""
-    return stirling_rows_mod2((n,), k_max, bits, row_cap=row_cap)[n]
+    return stirling_rows_mod2((n,), k_max, bits)[n]
 
 
 def stirling_mod2(n: int, k: int, bits: int) -> Residue:
@@ -301,32 +302,36 @@ def stirling_explicit_row_mod2(n: int, k_max: int, bits: int) -> list[int]:
 # adaptive valuations
 
 
-def valuations(
-    n1: int, ks: Iterable[int], policy: PrecisionPolicy, n2: int | None = None
-) -> dict[int, Valuation]:
-    """nu2(S(n1, k)), or nu2(S(n1, k) - S(n2, k)) when n2 is given, for every k in ks.
+def valuations(queries: Iterable[Query], policy: PrecisionPolicy) -> dict[Query, Valuation]:
+    """nu2(S(n1, k)), or nu2(S(n1, k) - S(n2, k)) if n2 is not None, for each query (n1, n2, k).
 
     Each rung of the policy's ladder makes one recurrence pass up to the
-    largest k still pending.  A nonzero residue certifies a finite valuation
-    and takes its k off the ladder; a k whose residue is still zero at
-    max_bits gets an at-least valuation.  Zero values (k = 0, k > n, n1 = n2)
-    are the caller's to rule out.
+    largest pending row, at the width of the largest pending k, keeping only
+    the entries the pending queries ask for.  A nonzero residue certifies a
+    finite valuation and takes its query off the ladder; a query whose
+    residue is still zero at max_bits gets an at-least valuation.  Zero
+    values (k = 0, k > n, n1 = n2) are the caller's to rule out.
     """
-    ns = (n1,) if n2 is None else (n1, n2)
-    out: dict[int, Valuation] = {}
-    pending = set(ks)
+    out: dict[Query, Valuation] = {}
+    pending = set(queries)
     for bits in policy.ladder():
         if not pending:
             break
-        rows = stirling_rows_mod2(ns, max(pending), bits)
+        entries = sorted({(n, k) for n1, n2, k in pending for n in (n1, n2) if n is not None})
+        columns: dict[int, list[int]] = defaultdict(list)
+        for n, k in entries:
+            columns[n].append(k)
+        rows = stirling_rows_mod2(columns.keys(), max(k for *_, k in pending), bits, columns)
+        value = {(n, k): r for n, ks in columns.items() for k, r in zip(ks, rows[n])}
         mask = (1 << bits) - 1
-        for k in list(pending):
-            r = rows[n1][k] if n2 is None else (rows[n1][k] - rows[n2][k]) & mask
+        for query in list(pending):
+            n1, n2, k = query
+            r = value[n1, k] if n2 is None else (value[n1, k] - value[n2, k]) & mask
             if r:
-                out[k] = Valuation.finite(nu2_int(r))
-                pending.discard(k)
-    for k in pending:
-        out[k] = Valuation.at_least(policy.max_bits)
+                out[query] = Valuation.finite(nu2_int(r))
+                pending.discard(query)
+    for query in pending:
+        out[query] = Valuation.at_least(policy.max_bits)
     return out
 
 
@@ -341,7 +346,7 @@ def val_stirling(n: int, k: int, policy: PrecisionPolicy | None = None) -> Valua
         raise DomainError(f"need 0 <= k <= n, got n={n}, k={k}")
     if k == 0:
         return Valuation.finite(0) if n == 0 else Valuation.infinite()
-    return valuations(n, (k,), policy or PrecisionPolicy())[k]
+    return valuations([(n, None, k)], policy or PrecisionPolicy())[n, None, k]
 
 
 def val_stirling_difference(
@@ -361,14 +366,14 @@ def val_stirling_difference(
         return Valuation.infinite() if d == 0 else Valuation.finite(0)
     if n1 == n2:
         return Valuation.infinite()
-    return valuations(n1, (k,), policy or PrecisionPolicy(), n2)[k]
+    return valuations([(n1, n2, k)], policy or PrecisionPolicy())[n1, n2, k]
 
 
 # ---------------------------------------------------------------------------
 # identity checks (exact)
 
 
-def check_convolution(n: int, m: int, k: int, cap: int = DEFAULT_EXACT_CAP) -> bool:
+def check_convolution(n: int, m: int, k: int) -> bool:
     """Exact check of the two-argument splitting identity
 
         S(n+m, k) = sum_{j=1..k} sum_{i=0..j} C(j,i) (k-i)!/(k-j)! S(n, k-i) S(m, j).
@@ -378,21 +383,21 @@ def check_convolution(n: int, m: int, k: int, cap: int = DEFAULT_EXACT_CAP) -> b
     """
     if n < 0 or m < 0 or not 0 <= k <= n + m:
         raise DomainError(f"need n, m >= 0 and 0 <= k <= n+m, got {n}, {m}, {k}")
-    lhs = stirling_exact(n + m, k, cap=cap)
+    lhs = stirling_exact(n + m, k)
     rhs = 0
     for j in range(1, k + 1):
-        sm = stirling_exact(m, j, cap=cap)
+        sm = stirling_exact(m, j)
         if sm == 0:
             continue
         for i in range(j + 1):
-            sn = stirling_exact(n, k - i, cap=cap)
+            sn = stirling_exact(n, k - i)
             if sn == 0:
                 continue
             rhs += math.comb(j, i) * math.perm(k - i, j - i) * sn * sm
     return lhs == rhs
 
 
-def check_symmetric_identity(k1: int, k2: int, r: int, cap: int = DEFAULT_EXACT_CAP) -> bool:
+def check_symmetric_identity(k1: int, k2: int, r: int) -> bool:
     """Exact check of the symmetric product identity, cleared of denominators:
 
         k1! k2! (r-1)! S(k1+k2+2, r)
@@ -406,13 +411,13 @@ def check_symmetric_identity(k1: int, k2: int, r: int, cap: int = DEFAULT_EXACT_
         math.factorial(k1)
         * math.factorial(k2)
         * math.factorial(r - 1)
-        * stirling_exact(k1 + k2 + 2, r, cap=cap)
+        * stirling_exact(k1 + k2 + 2, r)
     )
     rhs = math.factorial(k1 + k2 + 1) * sum(
         math.factorial(i - 1)
         * math.factorial(r - i - 1)
-        * stirling_exact(k1 + 1, i, cap=cap)
-        * stirling_exact(k2 + 1, r - i, cap=cap)
+        * stirling_exact(k1 + 1, i)
+        * stirling_exact(k2 + 1, r - i)
         for i in range(1, r)
     )
     return lhs == rhs

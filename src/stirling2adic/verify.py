@@ -5,7 +5,7 @@ Mersenne-shaped case.
 Reports are deterministic: cells are emitted in lexicographic parameter
 order, runtime metadata is kept out of the serialized record section, and
 worker parallelism cannot affect output bytes (records are made in the
-calling process from results keyed by row).
+calling process from results keyed by query).
 """
 
 from __future__ import annotations
@@ -585,43 +585,33 @@ def _run_shards(tasks: list, workers: int, evaluate: Callable[[tuple], object]) 
     return [evaluate(t) for t in tasks]
 
 
-def _evaluate(task: tuple) -> object:
-    """Valuations {k: nu2} of one row or row pair, or the results of a run of checks."""
-    row, items, policy = task
-    if row is None:
-        return [check() for check in items]
-    return valuations(row[0], items, policy, row[1])
+def _run_checks(run: list[partial]) -> list:
+    return [check() for check in run]
 
 
 def _run_cells(cells: list[tuple], policy: PrecisionPolicy, workers: int) -> list[CellRecord]:
     """Evaluate and classify cells (order, params, claim, query).
 
-    Valuation queries are grouped by row: each row N, or row pair (N1, N2),
-    is one task for all the columns asked of it.  Exact checks are grouped
-    into runs of cells whose order agrees up to its last coordinate.
-    Records are made here, from results keyed by row and run, so neither
-    the number of workers nor the order of tasks can change them.
+    Every valuation query goes to one valuations() call in this process.
+    Exact checks are grouped into runs of cells whose order agrees up to its
+    last coordinate, one task per run.  Records are made here, from results
+    keyed by query and run, so neither the number of workers nor the order
+    of tasks can change them.
     """
-    rows: dict[tuple, list[int]] = {}
     runs: dict[tuple, list[partial]] = {}
     for order, _, _, query in cells:
         if isinstance(query, partial):
             runs.setdefault(order[:-1], []).append(query)
-        else:
-            rows.setdefault(query[:2], []).append(query[2])
-    tasks = [(row, ks, policy) for row, ks in rows.items()]
-    tasks += [(None, run, None) for run in runs.values()]
-    results = _run_shards(tasks, workers, _evaluate)
-    vals = dict(zip(rows, results))
-    checked = {key: iter(run) for key, run in zip(runs, results[len(rows):])}
+    results = _run_shards(list(runs.values()), workers, _run_checks)
+    checked = {key: iter(run) for key, run in zip(runs, results)}
+    vals = valuations((query for *_, query in cells if not isinstance(query, partial)), policy)
     records = []
     for order, params, claim, query in cells:
         if isinstance(query, partial):
             records.append(_check_record(order, params, claim, next(checked[order[:-1]])))
         else:
             predict, *args = claim
-            observed = vals[query[:2]][query[2]]
-            records.append(_record(params, predict(*args), observed, order))
+            records.append(_record(params, predict(*args), vals[query], order))
     records.sort(key=lambda rec: rec.order)
     return records
 
@@ -658,7 +648,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 # difference congruence (exact)
 
 
-def check_diff_congruence(a: int, b: int, n: int, k: int, cap: int = DEFAULT_EXACT_CAP) -> bool:
+def check_diff_congruence(a: int, b: int, n: int, k: int) -> bool:
     """Exact check of the congruence
 
         S(a*2**n, k) - S(b*2**n, k)
@@ -675,10 +665,10 @@ def check_diff_congruence(a: int, b: int, n: int, k: int, cap: int = DEFAULT_EXA
     if k < 3 or k > (1 << n):
         raise DomainError(f"need 3 <= k <= 2**n, got k={k}, n={n}")
     mod = 1 << (n + nu2_int(a - b))
-    lhs = stirling_exact(a << n, k, cap=cap) - stirling_exact(b << n, k, cap=cap)
+    lhs = stirling_exact(a << n, k) - stirling_exact(b << n, k)
     rhs = 0
     for i in range(1, -(-k // 2)):
-        rhs += math.comb((a - b) << n, i) * stirling_exact((b << n) - i, k - 2 * i, cap=cap)
+        rhs += math.comb((a - b) << n, i) * stirling_exact((b << n) - i, k - 2 * i)
     return (lhs - rhs) % mod == 0
 
 

@@ -193,6 +193,11 @@ class TestScanConjecture:
         _, out, _ = run_cli(capsys, "sweep", "count-J", "--range", "n=1", "--format", "json")
         assert json.loads(out)["config"]["policy"] == {"initial_bits": 48, "max_bits": 4096}
 
+    def test_precision_max_below_the_first_rung_lowers_it(self, capsys):
+        code, out, _ = run_cli(capsys, "scan-conjecture", "--n", "2..3", "--precision-max", "40")
+        assert code == 0
+        assert "precision: initial=40 max=40 bits" in out
+
     def test_all_observed(self, capsys):
         code, out, _ = run_cli(
             capsys, "scan-conjecture", "--n", "2..4", "--pairs", "2:1,3:1"

@@ -206,47 +206,122 @@ class TestValDifference:
             val_stirling_difference(16, 8, 9)
 
 
+def exact_value(n1, n2, k):
+    """S(n1, k), or S(n1, k) - S(n2, k) when n2 is not None."""
+    return stirling_exact(n1, k) - (0 if n2 is None else stirling_exact(n2, k))
+
+
+def expected_valuation(value, max_bits):
+    return Valuation.finite(nu2_int(value)) if value % 2**max_bits else Valuation.at_least(max_bits)
+
+
+def record_passes(monkeypatch):
+    """Wrap the engine's row pass; return the list of (ns, k_max, bits, columns, rows) it sees."""
+    passes = []
+
+    def rows(ns, k_max, bits, columns=None):
+        out = stirling_rows_mod2(ns, k_max, bits, columns)
+        passes.append((sorted(ns), k_max, bits, columns, out))
+        return out
+
+    monkeypatch.setattr(engine, "stirling_rows_mod2", rows)
+    return passes
+
+
+def expected_passes(queries, policy):
+    """(ns, k_max, bits) of each rung: the rows and the largest k of the pending queries."""
+    passes, pending = [], set(queries)
+    for bits in policy.ladder():
+        if pending:
+            ns = sorted({n for n1, n2, _ in pending for n in (n1, n2) if n is not None})
+            passes.append((ns, max(k for *_, k in pending), bits))
+            pending = {q for q in pending if exact_value(*q) % 2**bits == 0}
+    return passes
+
+
+# row 25, the pair (25, 9), and the pair (80, 70), whose nu2(S(80, 2) - S(70, 2)) = 69
+# is certified on the wide tier at 132 bits
+GRID_QUERIES = (
+    [(25, None, k) for k in range(1, 10)]
+    + [(25, 9, k) for k in range(2, 10)]
+    + [(80, 70, k) for k in range(2, 10)]
+)
+
+
 class TestValuations:
     @pytest.mark.parametrize(
         "n1, n2, policy",
         [
             (25, None, PrecisionPolicy(1, 8)),
             (25, 9, PrecisionPolicy(1, 8)),
-            # nu2(S(80, 2) - S(70, 2)) = 69: certified on the wide tier at 132 bits
             (80, 70, PrecisionPolicy(33, 132)),
         ],
     )
     def test_one_pass_per_rung_over_pending_columns(self, monkeypatch, n1, n2, policy):
-        ks = range(1, 10)
-        exact = {
-            k: stirling_exact(n1, k) - (0 if n2 is None else stirling_exact(n2, k)) for k in ks
-        }
-        passes = []
+        queries = [(n1, n2, k) for k in range(1, 10)]
+        passes = record_passes(monkeypatch)
+        out = valuations(queries, policy)
+        assert [p[:3] for p in passes] == expected_passes(queries, policy)
+        assert out == {q: expected_valuation(exact_value(*q), policy.max_bits) for q in queries}
 
-        def rows(ns, k_max, bits):
-            passes.append((tuple(ns), k_max, bits))
-            return stirling_rows_mod2(ns, k_max, bits)
+    def test_one_pass_per_rung_over_every_pending_row(self, monkeypatch):
+        policy = PrecisionPolicy(33, 132)
+        passes = record_passes(monkeypatch)
+        out = valuations(GRID_QUERIES, policy)
+        assert [p[:3] for p in passes] == expected_passes(GRID_QUERIES, policy)
+        # the rows 9 and 25 are certified on the first rung, (80, 70) at k = 2 on the last
+        assert [p[0] for p in passes] == [[9, 25, 70, 80], [70, 80], [70, 80]]
+        assert out[80, 70, 2] == Valuation.finite(69)
+        assert out == {q: expected_valuation(exact_value(*q), 132) for q in GRID_QUERIES}
 
-        monkeypatch.setattr(engine, "stirling_rows_mod2", rows)
-        out = valuations(n1, ks, policy, n2)
-        expected_passes, pending = [], set(ks)
-        for bits in policy.ladder():
-            if pending:
-                ns = (n1,) if n2 is None else (n1, n2)
-                expected_passes.append((ns, max(pending), bits))
-                pending = {k for k in pending if exact[k] % (1 << bits) == 0}
-        assert passes == expected_passes
-        for k in ks:
-            if exact[k] % (1 << policy.max_bits):
-                assert out[k] == Valuation.finite(nu2_int(exact[k])), k
-            else:
-                assert out[k] == Valuation.at_least(policy.max_bits), k
+    def test_each_pass_returns_only_the_queried_entries(self, monkeypatch):
+        policy = PrecisionPolicy(1, 132)
+        passes = record_passes(monkeypatch)
+        valuations(GRID_QUERIES, policy)
+        pending = set(GRID_QUERIES)
+        for ns, _, bits, columns, rows in passes:
+            wanted = {n: sorted({k for n1, n2, k in pending if n in (n1, n2)}) for n in ns}
+            assert columns == wanted
+            assert rows == {
+                n: [stirling_exact(n, k) % 2**bits for k in ks] for n, ks in wanted.items()
+            }
+            pending = {q for q in pending if exact_value(*q) % 2**bits == 0}
+        assert len(passes) > 2 and not pending
 
     def test_zero_columns_exhaust_the_ladder(self):
         # S(5, 7) = 0 and S(12, 3) - S(12, 3) = 0: the caller's cases to rule out
         policy = PrecisionPolicy(8, 16)
-        assert valuations(5, [7, 3], policy) == {7: Valuation.at_least(16), 3: Valuation.finite(0)}
-        assert valuations(12, [3], policy, 12) == {3: Valuation.at_least(16)}
+        assert valuations([(5, None, 7), (5, None, 3)], policy) == {
+            (5, None, 7): Valuation.at_least(16),
+            (5, None, 3): Valuation.finite(0),
+        }
+        assert valuations([(12, 12, 3)], policy) == {(12, 12, 3): Valuation.at_least(16)}
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_batch_matches_single_queries_and_exact(self, data):
+        # pairs have distinct rows and k >= 2: equal rows and k <= 1 give zero
+        # differences, which the single-query functions rule out first
+        max_bits = data.draw(st.integers(1, 16))
+        policy = PrecisionPolicy(data.draw(st.integers(1, max_bits)), max_bits)
+        row = st.integers(1, 60).flatmap(
+            lambda n: st.tuples(st.just(n), st.none(), st.integers(1, n))
+        )
+        pair = (
+            st.tuples(st.integers(2, 60), st.integers(2, 60))
+            .filter(lambda ns: ns[0] != ns[1])
+            .flatmap(lambda ns: st.tuples(st.just(ns[0]), st.just(ns[1]), st.integers(2, min(ns))))
+        )
+        queries = data.draw(st.lists(st.one_of(row, pair), min_size=1, max_size=12))
+        out = valuations(queries, policy)
+        assert set(out) == set(queries)
+        for n1, n2, k in queries:
+            if n2 is None:
+                single = val_stirling(n1, k, policy)
+            else:
+                single = val_stirling_difference(n1, n2, k, policy)
+            assert out[n1, n2, k] == single
+            assert single == expected_valuation(exact_value(n1, n2, k), max_bits)
 
 
 class TestConvolution:
