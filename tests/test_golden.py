@@ -2,7 +2,7 @@
 
 The SHA-256 of the JSON and CSV report of every default sweep, of the
 scanner at n = 2..8 with the default pairs, and of cross-validation at its
-defaults.  Any refactor of the engines or of the sweep plumbing must leave
+defaults and at the wide tier (96 and 128 bits, above the uint64 rows).  Any refactor of the engines or of the sweep plumbing must leave
 these bytes unchanged; a deliberate change of a report is a change of these
 pins and says so.
 """
@@ -79,6 +79,11 @@ XVAL_SHA256 = (
     "3b04a2756d6ed4145779483a6e85fccb224c3b5d411c9173faef80f07c96049c",
 )
 
+XVAL_WIDE_SHA256 = (
+    "23b15d3f48ffa9c9a0320abfa7a96f3665cfc59c08394e396460679ea41dc6b4",
+    "fc4ad4ecdbe06e255dfa689a5352797ee42ff740db87e729f64f7febfaafd5a6",
+)
+
 
 def digests(report) -> tuple[str, str]:
     return tuple(
@@ -101,3 +106,7 @@ def test_scanner():
 
 def test_cross_validate():
     assert digests(cross_validate()) == XVAL_SHA256
+
+
+def test_cross_validate_wide():
+    assert digests(cross_validate(n_max=400, k_max=64, bits_list=(96, 128))) == XVAL_WIDE_SHA256
