@@ -11,6 +11,7 @@ Exit codes: 0 all confirmed, 2 violation found, 3 conjecture deviation found,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -236,7 +237,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         target=args.kind,
         ranges=ranges,
         policy=_policy_from(args),
-        workers=args.workers,
         cell_cap=args.cell_cap,
     )
     return _emit_report(V.run_sweep(config), args)
@@ -250,7 +250,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         pairs=parse_pairs(args.pairs),
         m_values=parse_int_list(args.m) if args.m else None,
         policy=policy,
-        workers=args.workers,
     )
     return _emit_report(report, args)
 
@@ -270,7 +269,7 @@ def _cmd_check_identities(args: argparse.Namespace) -> int:
         for p, vs, top in junod
     ]
     reports = [
-        V.run_sweep(V.SweepConfig(target, ranges, workers=args.workers))
+        V.run_sweep(V.SweepConfig(target, ranges))
         for target, ranges in suites
     ]
     if args.format == "json":
@@ -306,7 +305,6 @@ def _cmd_cross_validate(args: argparse.Namespace) -> int:
         n_max=args.n_max,
         k_max=args.k_max,
         bits_list=parse_int_list(args.bits),
-        workers=args.workers,
     )
     return _emit_report(report, args)
 
@@ -330,7 +328,9 @@ def _cmd_j_set(args: argparse.Namespace) -> int:
 # parser assembly
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="stirling2adic", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -344,9 +344,6 @@ def _build_parser() -> _Parser:
     prec = _Parser(add_help=False)
     prec.add_argument("--precision-initial", type=int, default=None, metavar="BITS")
     prec.add_argument("--precision-max", type=int, default=None, metavar="BITS")
-
-    work = _Parser(add_help=False)
-    work.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("val", parents=[out, prec], help="valuation of S(N,K) with predictions")
     p.add_argument("N", type=int)
@@ -367,7 +364,7 @@ def _build_parser() -> _Parser:
     p.add_argument("K", type=int)
     p.set_defaults(func=_cmd_diff)
 
-    p = sub.add_parser("sweep", parents=[out, prec, work], help="run a verification sweep")
+    p = sub.add_parser("sweep", parents=[out, prec], help="run a verification sweep")
     p.add_argument("kind", choices=V.sweep_targets())
     p.add_argument(
         "--range",
@@ -381,7 +378,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser(
         "scan-conjecture",
-        parents=[out, prec, work],
+        parents=[out, prec],
         help="scan the conjectured difference valuation at k = 2**m - 1",
     )
     p.add_argument("--n", default="2..8", help="range of n (arguments use a*2**(n+1))")
@@ -390,7 +387,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser(
-        "check-identities", parents=[out, work], help="convolution, symmetric, Junod suites"
+        "check-identities", parents=[out], help="convolution, symmetric, Junod suites"
     )
     p.add_argument("--max-conv", type=int, default=12)
     p.add_argument("--max-sym", type=int, default=6)
@@ -405,7 +402,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_bell)
 
     p = sub.add_parser(
-        "cross-validate", parents=[out, work], help="recurrence vs explicit vs exact engines"
+        "cross-validate", parents=[out], help="recurrence vs explicit vs exact engines"
     )
     p.add_argument("--n-max", type=int, default=400)
     p.add_argument("--k-max", type=int, default=64)

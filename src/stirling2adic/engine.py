@@ -16,6 +16,7 @@ above that on Python integers with a mask.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections import defaultdict
@@ -37,7 +38,7 @@ __all__ = [
     "stirling_rows_mod2",
     "stirling_mod2",
     "stirling_explicit_mod2",
-    "stirling_explicit_row_mod2",
+    "stirling_explicit_rows_mod2",
     "valuations",
     "val_stirling",
     "val_stirling_difference",
@@ -47,6 +48,7 @@ __all__ = [
 
 DEFAULT_EXACT_CAP = 2000
 DEFAULT_ROW_CAP = 1 << 22  # row entries; memory is O(k * bits)
+_PASCAL_CAP = 1 << 19  # entries of the explicit rows' binomial triangle: k_max <= 1022, tens of MB
 
 _U64 = np.uint64
 
@@ -254,10 +256,17 @@ def _signed_powers(n: int, k_max: int, bits: int) -> tuple[list[int], int]:
     return [-pow(j, n, mod) if j & 1 else pow(j, n, mod) for j in range(k_max + 1)], mod
 
 
-def _explicit_sum(n: int, k: int, bits: int, binoms: list[int], powers: list[int], mod: int) -> int:
-    """S(n, k) mod 2**bits from binoms[j] = C(k, j) and powers from _signed_powers(n, >= k, bits).
+@functools.lru_cache(maxsize=1 << 12)
+def _odd_factorial_inverse(k: int, bits: int) -> int:
+    """Inverse of the odd part of k! mod 2**bits."""
+    return pow(math.factorial(k) >> (k - s2(k)), -1, 1 << bits)
 
-    T = sum_j (-1)**(k-j) C(k,j) j**n is taken mod `mod`, so the exact
+
+def _explicit_sum(n: int, k: int, bits: int, binoms: list[int], powers: list[int], mod: int) -> int:
+    """S(n, k) mod 2**bits from binoms[j] = C(k, j) and powers[j] = (-1)**j j**n, j <= k, mod `mod`.
+
+    `mod` is the working modulus of _signed_powers(n, k_max, bits) for some
+    k_max >= k.  T = sum_j (-1)**(k-j) C(k,j) j**n is taken mod `mod`, so the exact
     division by k! survives: T is divided by 2**nu2(k!) and multiplied by the
     inverse of the odd part of k! mod 2**bits.
     """
@@ -268,8 +277,7 @@ def _explicit_sum(n: int, k: int, bits: int, binoms: list[int], powers: list[int
         raise RuntimeError(
             f"internal error: explicit sum for S({n},{k}) not divisible by 2**{v2_fact}"
         )
-    out_mod = 1 << bits
-    return (total >> v2_fact) * pow(math.factorial(k) >> v2_fact, -1, out_mod) % out_mod
+    return (total >> v2_fact) * _odd_factorial_inverse(k, bits) % (1 << bits)
 
 
 def stirling_explicit_mod2(n: int, k: int, bits: int) -> Residue:
@@ -281,21 +289,31 @@ def stirling_explicit_mod2(n: int, k: int, bits: int) -> Residue:
     return Residue(_explicit_sum(n, k, bits, binoms, powers, mod), bits)
 
 
-def stirling_explicit_row_mod2(n: int, k_max: int, bits: int) -> list[int]:
-    """Row S(n, 0..k_max) mod 2**bits via the explicit alternating binomial sum.
+def stirling_explicit_rows_mod2(n_max: int, k_max: int, bits: int) -> Iterator[list[int]]:
+    """Rows S(n, 0..k_max) mod 2**bits for n = 0..n_max via the explicit alternating binomial sum.
 
-    The powers j**n are taken once for the whole row; the binomials follow
-    Pascal's rule as k grows.
+    The Pascal rows C(k, .), k <= k_max, are built once, at the working
+    modulus of _signed_powers, and each row's signed powers (-1)**j j**n come
+    from the previous row's with one multiply per j.  The triangle is capped
+    at _PASCAL_CAP entries before any work.
     """
-    if k_max + 1 > DEFAULT_ROW_CAP:
-        raise ResourceCapError(f"row of {k_max + 1} entries exceeds cap {DEFAULT_ROW_CAP}")
-    powers, mod = _signed_powers(n, k_max, bits)
-    row = []
-    binoms = [1]
-    for k in range(k_max + 1):
-        row.append(_explicit_sum(n, k, bits, binoms, powers, mod))
-        binoms = [x + y for x, y in zip([0] + binoms, binoms + [0])]
-    return row
+    if (k_max + 1) * (k_max + 2) // 2 > _PASCAL_CAP:
+        raise ResourceCapError(f"Pascal triangle to k = {k_max} exceeds {_PASCAL_CAP} entries")
+    if n_max < 0:
+        raise DomainError(f"need n_max >= 0, got {n_max}")
+    powers, mod = _signed_powers(0, k_max, bits)
+    mask = mod - 1
+    pascal = [[1]]
+    for _ in range(k_max):
+        prev = pascal[-1]
+        pascal.append([(x + y) & mask for x, y in zip([0] + prev, prev + [0])])
+
+    def rows(powers: list[int]) -> Iterator[list[int]]:
+        for n in range(n_max + 1):
+            yield [_explicit_sum(n, k, bits, pascal[k], powers, mod) for k in range(k_max + 1)]
+            powers = [p * j & mask for j, p in enumerate(powers)]
+
+    return rows(powers)
 
 
 # ---------------------------------------------------------------------------

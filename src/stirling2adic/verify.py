@@ -3,9 +3,8 @@ identity suites, the difference-congruence check, and a scanner for the open
 Mersenne-shaped case.
 
 Reports are deterministic: cells are emitted in lexicographic parameter
-order, runtime metadata is kept out of the serialized record section, and
-worker parallelism cannot affect output bytes (records are made in the
-calling process from results keyed by query).
+order, and runtime metadata is kept out of the serialized record section.
+Everything runs in the calling process.
 """
 
 from __future__ import annotations
@@ -13,9 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Collection, Iterable, Iterator
@@ -29,7 +26,7 @@ from .engine import (
     check_convolution,
     check_symmetric_identity,
     stirling_exact,
-    stirling_explicit_row_mod2,
+    stirling_explicit_rows_mod2,
     stirling_row_mod2,  # unused here; kept for callers that look it up in this module
     stirling_rows_mod2,
     valuations,
@@ -482,7 +479,7 @@ class SweepConfig:
     target: str
     ranges: dict = field(default_factory=dict)
     policy: PrecisionPolicy = field(default_factory=PrecisionPolicy)
-    workers: int = 1
+    workers: int = 1  # only 1 is accepted; see _one_process
     cell_cap: int = DEFAULT_CELL_CAP
 
 
@@ -496,7 +493,6 @@ class SweepReport:
     records: list[CellRecord]
     engine: str = ENGINE_TAG
     runtime_seconds: float | None = None
-    workers: int = 1
 
     @property
     def summary(self) -> dict:
@@ -556,12 +552,11 @@ class SweepReport:
             ],
         }
         if include_runtime:
-            obj["runtime"] = {"seconds": self.runtime_seconds, "workers": self.workers}
+            obj["runtime"] = {"seconds": self.runtime_seconds}
         return json.dumps(obj, indent=2) + "\n"
 
 
 def _config_echo(target: str, ranges: dict, policy: PrecisionPolicy) -> dict:
-    # workers deliberately omitted: parallelism must not affect report bytes
     echo_ranges = {
         key: [list(v) if isinstance(v, (tuple, list)) else v for v in values]
         for key, values in sorted(ranges.items())
@@ -573,42 +568,28 @@ def _config_echo(target: str, ranges: dict, policy: PrecisionPolicy) -> dict:
     }
 
 
-def _run_shards(tasks: list, workers: int, evaluate: Callable[[tuple], object]) -> list:
-    """evaluate(task) for every task, in task order, on up to `workers` processes."""
-    if workers < 1:
-        raise DomainError(f"need workers >= 1, got {workers}")
-    # ProcessPoolExecutor may start all max_workers processes up front
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(evaluate, tasks))
-    return [evaluate(t) for t in tasks]
+def _one_process(workers: int) -> None:
+    """Refuse any worker count but 1.
+
+    The process pool was removed; the workers keyword of SweepConfig,
+    scan_conjecture_mersenne and cross_validate stays only because the
+    benchmark harness in bench/ passes workers=1.
+    """
+    if workers != 1:
+        raise DomainError(f"workers must be 1 (the process pool was removed), got {workers}")
 
 
-def _run_checks(run: list[partial]) -> list:
-    return [check() for check in run]
-
-
-def _run_cells(cells: list[tuple], policy: PrecisionPolicy, workers: int) -> list[CellRecord]:
+def _run_cells(cells: list[tuple], policy: PrecisionPolicy) -> list[CellRecord]:
     """Evaluate and classify cells (order, params, claim, query).
 
-    Every valuation query goes to one valuations() call in this process.
-    Exact checks are grouped into runs of cells whose order agrees up to its
-    last coordinate, one task per run.  Records are made here, from results
-    keyed by query and run, so neither the number of workers nor the order
-    of tasks can change them.
+    Every valuation query goes to one valuations() call; exact checks run
+    inline, one cell at a time.
     """
-    runs: dict[tuple, list[partial]] = {}
-    for order, _, _, query in cells:
-        if isinstance(query, partial):
-            runs.setdefault(order[:-1], []).append(query)
-    results = _run_shards(list(runs.values()), workers, _run_checks)
-    checked = {key: iter(run) for key, run in zip(runs, results)}
     vals = valuations((query for *_, query in cells if not isinstance(query, partial)), policy)
     records = []
     for order, params, claim, query in cells:
         if isinstance(query, partial):
-            records.append(_check_record(order, params, claim, next(checked[order[:-1]])))
+            records.append(_check_record(order, params, claim, query()))
         else:
             predict, *args = claim
             records.append(_record(params, predict(*args), vals[query], order))
@@ -622,6 +603,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     The grid is counted by a lazy pass over its cells, before any engine
     work, and refused when it has more than config.cell_cap cells.
     """
+    _one_process(config.workers)
     if config.target not in _TARGETS:
         raise DomainError(f"unknown sweep target {config.target!r}")
     target = _TARGETS[config.target]
@@ -633,14 +615,13 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     if sum(1 for _ in itertools.islice(target.cells(ranges), cap + 1)) > cap:
         raise ResourceCapError(f"grid has more cells than the cap of {cap}")
     start = time.perf_counter()
-    records = _run_cells(list(target.cells(ranges)), config.policy, config.workers)
+    records = _run_cells(list(target.cells(ranges)), config.policy)
     return SweepReport(
         target=config.target,
         config=_config_echo(config.target, ranges, config.policy),
         columns=target.columns,
         records=records,
         runtime_seconds=time.perf_counter() - start,
-        workers=config.workers,
     )
 
 
@@ -710,19 +691,13 @@ def scan_conjecture_mersenne(
     can be re-derived.  Mismatches are conjecture deviations, never
     violations: this case is open.
     """
+    _one_process(workers)
     policy = policy or DEFAULT_SCANNER_POLICY
-    ns = sorted(set(int(n) for n in n_values))
-    if ns and ns[0] < 2:
-        raise DomainError(f"scanner needs n >= 2, got {ns[0]}")
-    pair_list = sorted(set((int(a), int(b)) for a, b in pairs))
-    for a, b in pair_list:
-        if not a > b >= 1:
-            raise DomainError(f"scanner pairs need a > b >= 1, got ({a}, {b})")
-    wanted_m = None if m_values is None else sorted(set(int(m) for m in m_values))
-    if wanted_m and wanted_m[0] < 2:
-        raise DomainError(f"scanner needs m >= 2, got {wanted_m[0]}")
+    ranges = {"n": n_values, "pairs": pairs, "m": m_values}
+    ns, pair_list = _int_list(ranges, "n", floor=2), _pair_list(ranges)
+    wanted_m = None if m_values is None else _int_list(ranges, "m", floor=2)
     start = time.perf_counter()
-    records = _run_cells(list(_scan_cells(ns, pair_list, wanted_m)), policy, workers)
+    records = _run_cells(list(_scan_cells(ns, pair_list, wanted_m)), policy)
     config = {
         "target": "conjecture-mersenne",
         "ranges": {
@@ -738,38 +713,11 @@ def scan_conjecture_mersenne(
         columns=_SCANNER_COLUMNS,
         records=records,
         runtime_seconds=time.perf_counter() - start,
-        workers=workers,
     )
 
 
 # ---------------------------------------------------------------------------
 # cross-engine validation
-
-
-def _cross_task(args: tuple) -> list[CellRecord]:
-    bits, n_max, k_cap = args
-    rows = stirling_rows_mod2(range(n_max + 1), k_cap, bits)
-    mask = (1 << bits) - 1
-    recs = []
-    for n in range(n_max + 1):
-        k_max = min(n, k_cap)
-        explicit = stirling_explicit_row_mod2(n, k_max, bits)
-        first_bad: int | None = None
-        for k in range(k_max + 1):
-            expected = stirling_exact(n, k) & mask
-            if rows[n][k] != expected or explicit[k] != expected:
-                first_bad = k
-                break
-        params = {
-            "bits": bits,
-            "n": n,
-            "k_max": k_max,
-            "first_mismatch": "" if first_bad is None else first_bad,
-        }
-        recs.append(
-            _bool_record(params, "Id-CrossEngine", "agreement", first_bad is None, (bits, n))
-        )
-    return recs
 
 
 def cross_validate(
@@ -782,17 +730,37 @@ def cross_validate(
 
     One record per (bits, n) covering every k <= min(n, k_max); a record is
     violated iff any k disagrees (the first offending k is echoed).  Each
-    precision is one task: one recurrence pass over n <= n_max and one
-    explicit row per n.
+    precision makes one recurrence pass and one explicit row sequence over
+    n <= n_max.
     """
+    _one_process(workers)
     if n_max < 0 or k_max < 0:
         raise DomainError("need n_max, k_max >= 0")
     bits_values = sorted(set(int(b) for b in bits_list))
     start = time.perf_counter()
-    # warm the shared exact triangle once; worker processes inherit or rebuild
+    # warm the shared exact triangle once
     stirling_exact(min(n_max, DEFAULT_EXACT_CAP), min(n_max, k_max))
-    tasks = [(bits, n_max, k_max) for bits in bits_values]
-    records = [rec for chunk in _run_shards(tasks, workers, _cross_task) for rec in chunk]
+    records = []
+    for bits in bits_values:
+        rows = stirling_rows_mod2(range(n_max + 1), k_max, bits)
+        explicit = stirling_explicit_rows_mod2(n_max, k_max, bits)
+        mask = (1 << bits) - 1
+        for n, explicit_row in enumerate(explicit):
+            top = min(n, k_max)
+            first_bad: int | None = None
+            for k in range(top + 1):
+                expected = stirling_exact(n, k) & mask
+                if rows[n][k] != expected or explicit_row[k] != expected:
+                    first_bad = k
+                    break
+            params = {
+                "bits": bits,
+                "n": n,
+                "k_max": top,
+                "first_mismatch": "" if first_bad is None else first_bad,
+            }
+            ok = first_bad is None
+            records.append(_bool_record(params, "Id-CrossEngine", "agreement", ok, (bits, n)))
     config = {
         "target": "cross-validate",
         "ranges": {"n_max": n_max, "k_max": k_max, "bits": bits_values},
@@ -804,5 +772,4 @@ def cross_validate(
         columns=("bits", "n", "k_max", "first_mismatch"),
         records=records,
         runtime_seconds=time.perf_counter() - start,
-        workers=workers,
     )

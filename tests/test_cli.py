@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from stirling2adic import cli
 from stirling2adic.cli import main, parse_int_list, parse_pairs
 from stirling2adic.errors import DomainError
 from stirling2adic.verify import sweep_targets
@@ -167,23 +169,6 @@ class TestSweep:
         obj = json.loads(path.read_text())
         assert obj["summary"]["cells"] == 1 + 3 + 7
 
-    def test_workers_flag(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "sweep",
-            "lengyel-eq",
-            "--range",
-            "n=1..2",
-            "--range",
-            "c=1",
-            "--workers",
-            "2",
-            "--format",
-            "csv",
-        )
-        assert code == 0
-        assert len(out.strip().split("\n")) == 1 + 6
-
 
 class TestScanConjecture:
     def test_default_precision_is_wider_than_other_commands(self, capsys):
@@ -211,6 +196,21 @@ class TestScanConjecture:
         )
         assert code == 3
         assert "conjecture-deviation" in out
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--n", "1..3", "'n' needs values >= 2"),
+            ("--m", "1..2", "'m' needs values >= 2"),
+            ("--pairs", "2:1,1:2", "a > b >= 1"),
+        ],
+        ids=["n", "m", "pairs"],
+    )
+    def test_bad_input_is_usage_error(self, capsys, flag, value, message):
+        code, out, err = run_cli(capsys, "scan-conjecture", flag, value)
+        assert code == 64
+        assert out == ""
+        assert message in err
 
 
 class TestOtherCommands:
@@ -262,17 +262,51 @@ class TestUsage:
     def test_missing_args(self, capsys):
         assert run_cli(capsys, "val", "16")[0] == 64
 
-    def test_workers_below_one(self, capsys):
-        code, out, err = run_cli(capsys, "cross-validate", "--n-max", "5", "--workers", "0")
-        assert code == 64
-        assert out == ""
-        assert "workers" in err
+    def test_workers_flag_is_refused(self, capsys):
+        # everything runs in one process; the flag is gone
+        for command in (
+            ["sweep", "count-J", "--range", "n=1"],
+            ["scan-conjecture", "--n", "2"],
+            ["check-identities", "--max-conv", "1", "--max-sym", "0", "--junod-max", "1"],
+            ["cross-validate", "--n-max", "5"],
+        ):
+            code, out, err = run_cli(capsys, *command, "--workers", "2")
+            assert code == 64, command
+            assert out == ""
+            assert "unrecognized arguments: --workers 2" in err
 
     def test_unknown_command(self, capsys):
         assert run_cli(capsys, "nope")[0] == 64
 
     def test_no_command(self, capsys):
         assert run_cli(capsys)[0] == 64
+
+    def test_one_parser_serves_every_call(self, capsys):
+        # the parser is built once per process; a sequence of calls on it
+        # prints what the same calls print on fresh parsers
+        calls = [
+            ["sweep", "lengyel-eq", "--range", "n=1..2", "--format", "csv"],
+            ["sweep", "lengyel-eq", "--format", "csv"],
+            ["scan-conjecture", "--n", "2..3", "--precision-max", "40"],
+            ["val", "16", "5"],
+            ["val", "16"],
+            ["--version"],
+        ]
+
+        def outcome(argv):
+            code, out, err = run_cli(capsys, *argv)
+            return code, out, re.sub(r"\d+\.\d+s", "<t>s", err)
+
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        cli._build_parser.cache_clear()
+        shared = [outcome(argv) for argv in calls]
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 0, 0, 64, 0]
+        assert "initial=40 max=40" in shared[2][1]
+        assert "initial=33 max=4096" in shared[3][1]
 
     def test_version(self, capsys):
         code, out, _ = run_cli(capsys, "--version")

@@ -13,7 +13,7 @@ from stirling2adic.engine import (
     check_symmetric_identity,
     stirling_exact,
     stirling_explicit_mod2,
-    stirling_explicit_row_mod2,
+    stirling_explicit_rows_mod2,
     stirling_mod2,
     stirling_row_mod2,
     stirling_rows_mod2,
@@ -129,24 +129,35 @@ class TestExplicitEngine:
         assert stirling_explicit_mod2(10, 4, 12) == stirling_mod2(10, 4, 12)
 
     def test_against_exact(self):
-        # the row form against the single-cell form and the exact triangle,
-        # three columns past the diagonal
+        # the row sequence against the single-cell form and the exact
+        # triangle, three columns past the diagonal of its last row
         for bits in (1, 8, 32, 64, 65, 128):
-            for n in range(0, 45):
-                expected = [stirling_exact(n, k) % 2**bits for k in range(n + 4)]
-                assert expected[n + 1 :] == [0, 0, 0]
-                assert stirling_explicit_row_mod2(n, n + 3, bits) == expected
-                assert [stirling_explicit_mod2(n, k, bits).value for k in range(n + 4)] == expected
+            rows = list(stirling_explicit_rows_mod2(44, 47, bits))
+            assert len(rows) == 45
+            for n, row in enumerate(rows):
+                expected = [stirling_exact(n, k) % 2**bits for k in range(48)]
+                assert expected[n + 1 :] == [0] * (47 - n)
+                assert row == expected
+                single = [stirling_explicit_mod2(n, k, bits).value for k in range(n + 4)]
+                assert single == expected[: n + 4]
+            # rows narrower than the diagonal
+            narrow = [[stirling_exact(n, k) % 2**bits for k in range(6)] for n in range(31)]
+            assert list(stirling_explicit_rows_mod2(30, 5, bits)) == narrow
+        assert list(stirling_explicit_rows_mod2(0, 0, 8)) == [[1]]
 
     def test_k_above_n(self):
         assert stirling_explicit_mod2(3, 8, 16).value == 0
 
     def test_row_rejects_bad_input(self):
+        # refused at the call, before the first row is asked for
         for args in ((-1, 4, 8), (4, -1, 8), (4, 4, 0)):
             with pytest.raises(DomainError):
-                stirling_explicit_row_mod2(*args)
+                stirling_explicit_rows_mod2(*args)
         with pytest.raises(ResourceCapError):
-            stirling_explicit_row_mod2(10, 1 << 23, 8)
+            stirling_explicit_rows_mod2(10, 1 << 23, 8)
+        with pytest.raises(ResourceCapError):
+            stirling_explicit_rows_mod2(10, 1023, 8)
+        assert next(stirling_explicit_rows_mod2(0, 1022, 8)) == [1] + [0] * 1022
 
 
 class TestValStirling:

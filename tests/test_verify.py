@@ -150,13 +150,6 @@ class TestDeterminism:
         assert r1.to_csv() == r2.to_csv()
         assert r1.to_json() == r2.to_json()
 
-    def test_workers_do_not_change_bytes(self):
-        cfg = {"n": [1, 2, 3], "c": [1, 3]}
-        serial = run_sweep(SweepConfig("lengyel-eq", cfg, workers=1))
-        parallel = run_sweep(SweepConfig("lengyel-eq", cfg, workers=4))
-        assert serial.to_csv() == parallel.to_csv()
-        assert serial.to_json() == parallel.to_json()
-
     def test_runtime_is_segregated(self):
         report = run_sweep(SweepConfig("count-J", {"n": [0, 1]}))
         assert "runtime" not in json.loads(report.to_json())
@@ -326,15 +319,8 @@ class TestCrossValidate:
         assert report.summary[CONFIRMED] == report.summary["cells"] == 2 * 41
         assert report.exit_code == EXIT_OK
 
-    def test_workers_match_serial(self):
-        # one task per precision: three tasks reach the pool, 96 bits the wide tier
-        a = cross_validate(n_max=25, k_max=8, bits_list=(8, 16, 96), workers=1)
-        b = cross_validate(n_max=25, k_max=8, bits_list=(8, 16, 96), workers=3)
-        assert a.to_csv() == b.to_csv()
-        assert a.to_json() == b.to_json()
-
     @pytest.mark.parametrize(
-        "route", ["stirling_rows_mod2", "stirling_explicit_row_mod2", "stirling_exact"]
+        "route", ["stirling_rows_mod2", "stirling_explicit_rows_mod2", "stirling_exact"]
     )
     def test_disagreement_is_reported(self, monkeypatch, route):
         bad_n, bad_k = 9, 4
@@ -345,18 +331,18 @@ class TestCrossValidate:
             out[bad_n][bad_k] ^= 1
             return out
 
-        def explicit_row(n, k_max, bits):
-            out = original(n, k_max, bits)
-            if n == bad_n:
-                out[bad_k] ^= 1
-            return out
+        def explicit_rows(n_max, k_max, bits):
+            for n, row in enumerate(original(n_max, k_max, bits)):
+                if n == bad_n:
+                    row[bad_k] ^= 1
+                yield row
 
         def exact(n, k):
             return original(n, k) + ((n, k) == (bad_n, bad_k))
 
         corrupted = {
             "stirling_rows_mod2": rows,
-            "stirling_explicit_row_mod2": explicit_row,
+            "stirling_explicit_rows_mod2": explicit_rows,
             "stirling_exact": exact,
         }[route]
         monkeypatch.setattr(verify, route, corrupted)
@@ -371,88 +357,18 @@ class TestCrossValidate:
                 assert rec.params["first_mismatch"] == ""
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """Swap the process pool for a serial stand-in that runs the tasks in
-    reverse order; return the max_workers it got."""
-    sizes: list[int] = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            # run the tasks last to first; results come back in task order
-            return reversed([fn(task) for task in reversed(list(tasks))])
-
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
-    return sizes
-
-
-class TestWorkers:
-    def test_pool_is_bounded_by_tasks_and_cpus(self, pools):
-        serial = cross_validate(n_max=6, k_max=3, bits_list=(8, 16, 32), workers=1)
-        three = cross_validate(n_max=6, k_max=3, bits_list=(8, 16, 32), workers=10**9)
-        six = cross_validate(n_max=6, k_max=3, bits_list=range(8, 14), workers=10**9)
-        assert pools == [3, 4]
-        assert three.to_json() == serial.to_json()
-        assert six.summary[CONFIRMED] == 6 * 7
-
-    def test_unknown_cpu_count_runs_serially(self, pools, monkeypatch):
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
-        report = cross_validate(n_max=6, k_max=3, bits_list=(8, 16), workers=8)
-        assert pools == []
-        assert report.exit_code == EXIT_OK
-
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_rejects_fewer_than_one(self, pools, workers):
-        with pytest.raises(DomainError):
-            cross_validate(n_max=6, k_max=3, bits_list=(8, 16), workers=workers)
-        with pytest.raises(DomainError):
-            run_sweep(SweepConfig("lengyel-eq", workers=workers))
-        assert pools == []
-
-
-# small grids, one for each valuation target
-VALUATION_GRIDS = {
-    "lengyel-eq": {"n": [1, 2, 3], "c": [1, 3]},
-    "thm-lower": {"n": [1, 2, 3], "c": [1, 3]},
-    "thm-diagonal": {"n": [2, 3], "c": [1, 3]},
-    "thm-shifted-triple": {"n": [1, 2], "b": [1, 2], "c": [1], "m_offsets": [0, 1]},
-    "thm-difference": {"n": [2, 3], "pairs": [(2, 1), (3, 1), (4, 2)]},
-    "lem-shifted-power": {"c": [1, 3], "n": [1, 2, 3]},
-    "lem-theta": {"c": [1, 3], "n": [3, 4]},
-}
-
-
-class TestShardOrder:
-    @pytest.mark.parametrize("target", sorted(VALUATION_GRIDS))
-    def test_reversed_tasks_give_the_same_bytes(self, pools, target):
-        # valuation cells make no tasks: workers=2 evaluates them in this
-        # process, with the bytes of workers=1 and no pool
-        ranges = VALUATION_GRIDS[target]
-        serial = run_sweep(SweepConfig(target, ranges, workers=1))
-        pooled = run_sweep(SweepConfig(target, ranges, workers=2))
-        assert pools == []
-        assert pooled.to_json() == serial.to_json()
-        assert pooled.to_csv() == serial.to_csv()
-
-    def test_valuation_targets_are_covered(self):
-        checks = {"junod", "identities", "count-J", "diff-congruence"}
-        assert set(VALUATION_GRIDS) == set(sweep_targets()) - checks
-
-    def test_check_cells_run_in_worker_processes(self, monkeypatch):
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)  # a real pool on any host
-        ranges = {"p": [2], "v": [1, 2], "m": [0, 1], "n": [1, 2, 3]}
-        serial = run_sweep(SweepConfig("junod", ranges, workers=1))
-        pooled = run_sweep(SweepConfig("junod", ranges, workers=2))
-        assert serial.summary[CONFIRMED] == serial.summary["cells"] == 12
-        assert pooled.to_json() == serial.to_json()
-        assert pooled.to_csv() == serial.to_csv()
+class TestWorkersKeyword:
+    def test_only_one_is_accepted(self):
+        # the keyword stays for callers that pass workers=1; the pool is gone
+        entry_points = (
+            lambda w: run_sweep(SweepConfig("count-J", {"n": [0, 1]}, workers=w)),
+            lambda w: scan_conjecture_mersenne([2], [(2, 1)], workers=w),
+            lambda w: cross_validate(n_max=6, k_max=3, bits_list=(8,), workers=w),
+        )
+        for run in entry_points:
+            for workers in (0, 2, -3):
+                with pytest.raises(DomainError, match="process pool was removed"):
+                    run(workers)
+            assert run(1).exit_code == EXIT_OK
+        report = cross_validate(n_max=6, k_max=3, bits_list=(8,))
+        assert json.loads(report.to_json(include_runtime=True))["runtime"].keys() == {"seconds"}
