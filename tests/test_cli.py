@@ -169,6 +169,15 @@ class TestSweep:
         obj = json.loads(path.read_text())
         assert obj["summary"]["cells"] == 1 + 3 + 7
 
+    def test_workers_flag(self, capsys):
+        # sweeps run in one process; the flag that sized the pool is gone
+        code, out, err = run_cli(
+            capsys, "sweep", "lengyel-eq", "--range", "n=1..2", "--workers", "2"
+        )
+        assert code == 64
+        assert out == ""
+        assert "unrecognized arguments: --workers 2" in err
+
 
 class TestScanConjecture:
     def test_default_precision_is_wider_than_other_commands(self, capsys):
@@ -261,6 +270,12 @@ class TestOtherCommands:
 class TestUsage:
     def test_missing_args(self, capsys):
         assert run_cli(capsys, "val", "16")[0] == 64
+
+    def test_workers_below_one(self, capsys):
+        code, out, err = run_cli(capsys, "cross-validate", "--n-max", "5", "--workers", "0")
+        assert code == 64
+        assert out == ""
+        assert "workers" in err
 
     def test_workers_flag_is_refused(self, capsys):
         # everything runs in one process; the flag is gone

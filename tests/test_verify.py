@@ -357,7 +357,14 @@ class TestCrossValidate:
                 assert rec.params["first_mismatch"] == ""
 
 
-class TestWorkersKeyword:
+class TestWorkers:
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_fewer_than_one(self, workers):
+        with pytest.raises(DomainError):
+            cross_validate(n_max=6, k_max=3, bits_list=(8, 16), workers=workers)
+        with pytest.raises(DomainError):
+            run_sweep(SweepConfig("lengyel-eq", workers=workers))
+
     def test_only_one_is_accepted(self):
         # the keyword stays for callers that pass workers=1; the pool is gone
         entry_points = (
