@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -7,6 +8,9 @@ from stirling2adic import cli
 from stirling2adic.cli import main, parse_int_list, parse_pairs
 from stirling2adic.errors import DomainError
 from stirling2adic.verify import sweep_targets
+
+# SHA-256 of `check-identities --format json` at its defaults
+CHECK_IDENTITIES_JSON_SHA256 = "89b88ad9d612f92787ab20165ef72e33b6af40193c3817c5d78b40ef5e425cdb"
 
 
 def run_cli(capsys, *argv):
@@ -238,6 +242,13 @@ class TestOtherCommands:
         )
         assert code == 0
         assert out.count("sweep") == 3
+
+    def test_check_identities_json_bytes(self, capsys):
+        # the default suites' JSON list, pinned like tests/test_golden.py
+        code, out, _ = run_cli(capsys, "check-identities", "--format", "json")
+        assert code == 0
+        assert [r["target"] for r in json.loads(out)] == ["identities", "junod", "junod"]
+        assert hashlib.sha256(out.encode()).hexdigest() == CHECK_IDENTITIES_JSON_SHA256
 
     def test_bell(self, capsys):
         code, out, _ = run_cli(capsys, "bell", "4", "--mod-bits", "8")
