@@ -194,7 +194,8 @@ def brute_force_J(n: int, a: int, cap: int = DEFAULT_ENUMERATION_CAP) -> set[int
         raise ResourceCapError(f"2**{n} exceeds enumeration cap {cap}")
     total = (1 << (n + 1)) + a
     target = s2(total)
-    return {j for j in range(1, (1 << n) + 1) if s2(total - j) + s2(j) == target}
+    # total - j >= 2**n + a and j >= 1: both positive, so s2 is bit_count
+    return {j for j in range(1, (1 << n) + 1) if (total - j).bit_count() + j.bit_count() == target}
 
 
 def mersenne_power_val(r: int, n: int, t: int, m: int) -> int:
