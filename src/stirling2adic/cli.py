@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+import textwrap
 from typing import Sequence
 
 from ._version import __version__
@@ -273,8 +274,10 @@ def _cmd_check_identities(args: argparse.Namespace) -> int:
         for target, ranges in suites
     ]
     if args.format == "json":
-        blob = [json.loads(r.to_json()) for r in reports]
-        _emit(json.dumps(blob, indent=2) + "\n", args.out)
+        # the reports as one list: each nests one level deeper, and no
+        # encoded string holds a raw newline
+        items = (textwrap.indent(r.to_json().rstrip("\n"), "  ") for r in reports)
+        _emit("[\n" + ",\n".join(items) + "\n]\n", args.out)
     elif args.format == "csv":
         _emit("".join(r.to_csv() for r in reports), args.out)
     else:

@@ -15,6 +15,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Collection, Iterable, Iterator
 
 from ._version import __version__
@@ -132,14 +133,13 @@ class CellRecord:
     observed_kind: str
     observed_value: int | None
     verdict: str
-    order: tuple = field(default=(), repr=False, compare=False)
 
 
 def _observed_fields(v: Valuation) -> tuple[str, int | None]:
     return v.kind, v.value
 
 
-def _record(params: dict, pred: P.Prediction, observed: Valuation, order: tuple) -> CellRecord:
+def _record(params: dict, pred: P.Prediction, observed: Valuation) -> CellRecord:
     kind, value = _observed_fields(observed)
     return CellRecord(
         params=params,
@@ -149,13 +149,10 @@ def _record(params: dict, pred: P.Prediction, observed: Valuation, order: tuple)
         observed_kind=kind,
         observed_value=value,
         verdict=classify(pred.kind, pred.value, observed),
-        order=order,
     )
 
 
-def _bool_record(
-    params: dict, source: str, claim_kind: str, holds: bool, order: tuple
-) -> CellRecord:
+def _bool_record(params: dict, source: str, claim_kind: str, holds: bool) -> CellRecord:
     return CellRecord(
         params=params,
         source=source,
@@ -164,11 +161,10 @@ def _bool_record(
         observed_kind="boolean",
         observed_value=int(holds),
         verdict=CONFIRMED if holds else VIOLATED,
-        order=order,
     )
 
 
-def _check_record(order: tuple, params: dict, claim: tuple, result: object) -> CellRecord:
+def _check_record(params: dict, claim: tuple, result: object) -> CellRecord:
     """Record of an exact-check cell whose check returned `result`.
 
     A count claim holds when the enumerated set has the claimed size; any
@@ -185,19 +181,18 @@ def _check_record(order: tuple, params: dict, claim: tuple, result: object) -> C
             observed_kind="count",
             observed_value=len(result),
             verdict=CONFIRMED if len(result) == expected else VIOLATED,
-            order=order,
         )
     if isinstance(result, tuple):
         result, slack = result
         params = {**params, "slack": str(slack)}
-    return _bool_record(params, source, claim_kind, result, order)
+    return _bool_record(params, source, claim_kind, result)
 
 
 # ---------------------------------------------------------------------------
 # sweep targets
 #
 # A target's cells(ranges) validates its ranges, then yields one cell
-# (order, params, claim, query) per grid point in lexicographic order.  A
+# (params, claim, query) per grid point in lexicographic order.  A
 # valuation cell's query is (n1, n2, k), asking for nu2(S(n1, k)) when n2 is
 # None and nu2(S(n1, k) - S(n2, k)) otherwise; its claim is
 # (predictor, *args), called only when the record is made, so that counting
@@ -249,7 +244,7 @@ def _lengyel(r: dict) -> Iterator[tuple]:
             for k in range(1, (1 << n) + 1):
                 params = {"n": n, "c": c, "k": k, "N": big_n}
                 claim = (_digit_claim, P.EQUALITY, P.SRC_LEM_LENGYEL_EQ, k)
-                yield (n, c, k), params, claim, (big_n, None, k)
+                yield params, claim, (big_n, None, k)
 
 
 def _lower(r: dict) -> Iterator[tuple]:
@@ -264,7 +259,7 @@ def _lower(r: dict) -> Iterator[tuple]:
                     k = base + a
                     params = {"n": n, "c": c, "b": b, "a": a, "k": k, "N": big_n}
                     claim = (_digit_claim, P.LOWER_BOUND, P.SRC_THM_LOWER_BOUND, a)
-                    yield (n, c, b, a), params, claim, (big_n, None, k)
+                    yield params, claim, (big_n, None, k)
 
 
 def _diagonal(r: dict) -> Iterator[tuple]:
@@ -277,7 +272,7 @@ def _diagonal(r: dict) -> Iterator[tuple]:
                 k = ((c - 1) << n) + a
                 params = {"n": n, "c": c, "a": a, "k": k, "N": big_n}
                 claim = (_digit_claim, P.EQUALITY, P.SRC_THM_DIAGONAL, a)
-                yield (n, c, a), params, claim, (big_n, None, k)
+                yield params, claim, (big_n, None, k)
 
 
 def _triple(r: dict) -> Iterator[tuple]:
@@ -295,7 +290,7 @@ def _triple(r: dict) -> Iterator[tuple]:
                         k = (b << (n + 2)) + a
                         params = {"n": n, "b": b, "m": m, "c": c, "a": a, "k": k, "N": big_n}
                         claim = (P.predict_val_shifted_triple, c, m, b, n, a)
-                        yield (n, b, m, c, a), params, claim, (big_n, None, k)
+                        yield params, claim, (big_n, None, k)
 
 
 def _diff_ks(n: int) -> Iterator[int]:
@@ -310,7 +305,7 @@ def _difference(r: dict) -> Iterator[tuple]:
             n1, n2 = a << n, b << n
             for k in _diff_ks(n):
                 params = {"a": a, "b": b, "n": n, "k": k, "N1": n1, "N2": n2}
-                yield (a, b, n, k), params, (P.predict_val_difference, a, b, n, k), (n1, n2, k)
+                yield params, (P.predict_val_difference, a, b, n, k), (n1, n2, k)
 
 
 def _shifted_power(r: dict) -> Iterator[tuple]:
@@ -322,7 +317,7 @@ def _shifted_power(r: dict) -> Iterator[tuple]:
             for m in range(n):
                 big_n = (c << n) + (1 << m)
                 params = {"c": c, "n": n, "m": m, "N": big_n, "k": k}
-                yield (c, n, m), params, (P.predict_val_shifted_power, c, n, m), (big_n, None, k)
+                yield params, (P.predict_val_shifted_power, c, n, m), (big_n, None, k)
 
 
 def _theta(r: dict) -> Iterator[tuple]:
@@ -337,7 +332,7 @@ def _theta(r: dict) -> Iterator[tuple]:
                     arg_n, arg_k = (c << n) - a, k - 2 * a
                     params = {"c": c, "n": n, "k": k, "a": a, "arg_n": arg_n, "arg_k": arg_k}
                     claim = (P.predict_val_theta, c, n, a, k)
-                    yield (c, n, k, a), params, claim, (arg_n, None, arg_k)
+                    yield params, claim, (arg_n, None, arg_k)
 
 
 def _junod(r: dict) -> Iterator[tuple]:
@@ -347,7 +342,7 @@ def _junod(r: dict) -> Iterator[tuple]:
     for p, v, m, n in itertools.product(ps, vs, ms, ns):
         params = {"p": p, "v": v, "m": m, "n": n}
         claim = ("Lem-Junod", "congruence", None)
-        yield (p, v, m, n), params, claim, partial(junod_check, m, n, v, p)
+        yield params, claim, partial(junod_check, m, n, v, p)
 
 
 def _identities(r: dict) -> Iterator[tuple]:
@@ -358,13 +353,12 @@ def _identities(r: dict) -> Iterator[tuple]:
         for k in range(n + m + 1):
             params = {"identity": "convolution", "n": n, "m": m, "k": k}
             claim = ("Lem-Convolution", "identity", None)
-            yield ("convolution", n, m, k), params, claim, partial(check_convolution, n, m, k)
+            yield params, claim, partial(check_convolution, n, m, k)
     for k1, k2 in itertools.product(sym_k1, sym_k2):
         for rr in range(max(k1, k2) + 2, k1 + k2 + 3):
             params = {"identity": "symmetric", "k1": k1, "k2": k2, "r": rr}
             claim = ("Lem-SymmetricProduct", "identity", None)
-            query = partial(check_symmetric_identity, k1, k2, rr)
-            yield ("symmetric", k1, k2, rr), params, claim, query
+            yield params, claim, partial(check_symmetric_identity, k1, k2, rr)
 
 
 def _count_j(r: dict) -> Iterator[tuple]:
@@ -372,7 +366,7 @@ def _count_j(r: dict) -> Iterator[tuple]:
     for n in _int_list(r, "n", floor=0):
         for a in range(1, 1 << (n + 1)):
             claim = ("Lem-CountJ", "count", count_J(n, a))
-            yield (n, a), {"n": n, "a": a}, claim, partial(brute_force_J, n, a)
+            yield {"n": n, "a": a}, claim, partial(brute_force_J, n, a)
 
 
 def _diff_congruence(r: dict) -> Iterator[tuple]:
@@ -384,7 +378,7 @@ def _diff_congruence(r: dict) -> Iterator[tuple]:
             for k in _diff_ks(n):
                 params = {"a": a, "b": b, "n": n, "k": k, "mod_bits": mod_bits}
                 claim = ("Lem-DiffCongruence", "congruence", None)
-                yield (a, b, n, k), params, claim, partial(check_diff_congruence, a, b, n, k)
+                yield params, claim, partial(check_diff_congruence, a, b, n, k)
 
 
 _TARGETS: dict[str, _Target] = {
@@ -483,6 +477,47 @@ class SweepConfig:
     cell_cap: int = DEFAULT_CELL_CAP
 
 
+def _json_scalar(value: object) -> str:
+    """A str, int, float, bool or None as json.dumps writes it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return json.dumps(value)
+    raise TypeError(
+        f"report values must be str, int, float, bool or None, got {type(value).__name__}"
+    )
+
+
+def _json_record(rec: CellRecord) -> str:
+    """One record of SweepReport.to_json, at the records list's indent."""
+    if rec.params:
+        params = ",\n        ".join(
+            f"{encode_basestring_ascii(key)}: {_json_scalar(value)}"
+            for key, value in rec.params.items()
+        )
+        params = f"{{\n        {params}\n      }}"
+    else:
+        params = "{}"
+    return (
+        f'{{\n      "params": {params},\n'
+        f'      "source": {_json_scalar(rec.source)},\n'
+        f'      "claim_kind": {_json_scalar(rec.claim_kind)},\n'
+        f'      "claim_value": {_json_scalar(rec.claim_value)},\n'
+        f'      "observed_kind": {_json_scalar(rec.observed_kind)},\n'
+        f'      "observed_value": {_json_scalar(rec.observed_value)},\n'
+        f'      "verdict": {_json_scalar(rec.verdict)}\n'
+        "    }"
+    )
+
+
 @dataclass
 class SweepReport:
     """Deterministic sweep outcome; runtime metadata stays out of serialization."""
@@ -532,28 +567,35 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self, include_runtime: bool = False) -> str:
-        obj: dict = {
+        """The report as JSON, byte for byte what json.dumps(obj, indent=2)
+        gives for the object with the header fields, "records" (one object
+        per record: "params" and the six claim fields) and, when asked for,
+        "runtime".
+
+        The header goes through json.dumps; the records are written from
+        their fixed layout, because json.dumps with an indent runs the
+        pure-Python encoder.  A record field or param value must be a str,
+        int, float, bool or None, and a param key a str: anything else
+        raises TypeError.
+        """
+        header = {
             "schema_version": SCHEMA_VERSION,
             "target": self.target,
             "engine": self.engine,
             "config": self.config,
             "summary": self.summary,
-            "records": [
-                {
-                    "params": rec.params,
-                    "source": rec.source,
-                    "claim_kind": rec.claim_kind,
-                    "claim_value": rec.claim_value,
-                    "observed_kind": rec.observed_kind,
-                    "observed_value": rec.observed_value,
-                    "verdict": rec.verdict,
-                }
-                for rec in self.records
-            ],
         }
+        # the header's own closing "\n}" comes after the records
+        parts = [json.dumps(header, indent=2)[:-2], ',\n  "records": ']
+        if self.records:
+            parts.append("[\n    " + ",\n    ".join(map(_json_record, self.records)) + "\n  ]")
+        else:
+            parts.append("[]")
         if include_runtime:
-            obj["runtime"] = {"seconds": self.runtime_seconds}
-        return json.dumps(obj, indent=2) + "\n"
+            seconds = _json_scalar(self.runtime_seconds)
+            parts.append(f',\n  "runtime": {{\n    "seconds": {seconds}\n  }}')
+        parts.append("\n}\n")
+        return "".join(parts)
 
 
 def _config_echo(target: str, ranges: dict, policy: PrecisionPolicy) -> dict:
@@ -580,20 +622,20 @@ def _one_process(workers: int) -> None:
 
 
 def _run_cells(cells: list[tuple], policy: PrecisionPolicy) -> list[CellRecord]:
-    """Evaluate and classify cells (order, params, claim, query).
+    """Evaluate and classify cells (params, claim, query), one record per
+    cell in the cells' order.
 
     Every valuation query goes to one valuations() call; exact checks run
     inline, one cell at a time.
     """
-    vals = valuations((query for *_, query in cells if not isinstance(query, partial)), policy)
+    vals = valuations((query for _, _, query in cells if not isinstance(query, partial)), policy)
     records = []
-    for order, params, claim, query in cells:
+    for params, claim, query in cells:
         if isinstance(query, partial):
-            records.append(_check_record(order, params, claim, query()))
+            records.append(_check_record(params, claim, query()))
         else:
             predict, *args = claim
-            records.append(_record(params, predict(*args), vals[query], order))
-    records.sort(key=lambda rec: rec.order)
+            records.append(_record(params, predict(*args), vals[query]))
     return records
 
 
@@ -673,7 +715,7 @@ def _scan_cells(
                 n1, n2 = a << exp, b << exp
                 params = {"n": n, "m": m, "a": a, "b": b, "k": k, "arg_n1": n1, "arg_n2": n2}
                 claim = (P.predict_val_difference, a, b, exp, k)
-                yield (n, m, a, b), params, claim, (n1, n2, k)
+                yield params, claim, (n1, n2, k)
 
 
 def scan_conjecture_mersenne(
@@ -760,7 +802,7 @@ def cross_validate(
                 "first_mismatch": "" if first_bad is None else first_bad,
             }
             ok = first_bad is None
-            records.append(_bool_record(params, "Id-CrossEngine", "agreement", ok, (bits, n)))
+            records.append(_bool_record(params, "Id-CrossEngine", "agreement", ok))
     config = {
         "target": "cross-validate",
         "ranges": {"n_max": n_max, "k_max": k_max, "bits": bits_values},

@@ -2,6 +2,8 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinned_cells import (
     DIFF_CONGRUENCE_FAILURES,
@@ -24,7 +26,9 @@ from stirling2adic.verify import (
     EXIT_VIOLATION,
     INDETERMINATE,
     VIOLATED,
+    CellRecord,
     SweepConfig,
+    SweepReport,
     check_diff_congruence,
     classify,
     cross_validate,
@@ -182,6 +186,96 @@ class TestReportShape:
             "observed_value",
             "verdict",
         }
+
+
+def reference_json(report: SweepReport, include_runtime: bool) -> str:
+    """The report through json.dumps, the bytes to_json must give."""
+    obj = {
+        "schema_version": verify.SCHEMA_VERSION,
+        "target": report.target,
+        "engine": report.engine,
+        "config": report.config,
+        "summary": report.summary,
+        "records": [
+            {
+                "params": rec.params,
+                "source": rec.source,
+                "claim_kind": rec.claim_kind,
+                "claim_value": rec.claim_value,
+                "observed_kind": rec.observed_kind,
+                "observed_value": rec.observed_value,
+                "verdict": rec.verdict,
+            }
+            for rec in report.records
+        ],
+    }
+    if include_runtime:
+        obj["runtime"] = {"seconds": report.runtime_seconds}
+    return json.dumps(obj, indent=2) + "\n"
+
+
+# quotes, backslashes, control characters, non-ASCII and lone surrogates
+_text = st.text(
+    st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7fé '), st.characters(exclude_categories=()))
+)
+_scalar = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64),
+    st.integers(max_value=-(2**64)),
+    st.floats(),
+    _text,
+)
+_record = st.builds(
+    CellRecord,
+    params=st.dictionaries(_text, _scalar, max_size=5),
+    source=_text,
+    claim_kind=_text,
+    claim_value=_scalar,
+    observed_kind=_text,
+    observed_value=_scalar,
+    verdict=st.sampled_from(verify.VERDICT_ORDER),
+)
+_report = st.builds(
+    SweepReport,
+    target=_text,
+    config=st.recursive(
+        _scalar, lambda inner: st.lists(inner) | st.dictionaries(_text, inner), max_leaves=6
+    ),
+    columns=st.just(()),
+    records=st.lists(_record, max_size=4),
+    engine=_text,
+    runtime_seconds=st.none() | st.floats(),
+)
+
+
+class TestJsonWriter:
+    @given(_report, st.booleans())
+    @settings(deadline=None)
+    def test_matches_json_dumps(self, report, include_runtime):
+        assert report.to_json(include_runtime) == reference_json(report, include_runtime)
+
+    def test_empty_shapes(self):
+        record = CellRecord({}, "s", "k", None, "o", None, CONFIRMED)
+        for records in ([], [record]):
+            report = SweepReport("t", {}, (), records, runtime_seconds=0.5)
+            for include_runtime in (False, True):
+                text = report.to_json(include_runtime)
+                assert text == reference_json(report, include_runtime)
+        assert '"records": []' in SweepReport("t", {}, (), []).to_json()
+        assert '"params": {}' in text
+
+    @pytest.mark.parametrize("value", [[], [1, 2], (1,), {}, {"a": 1}, {1, 2}, b"x"])
+    def test_nested_param_value_is_refused(self, value):
+        record = CellRecord({"n": 1, "x": value}, "s", "k", None, "o", None, CONFIRMED)
+        with pytest.raises(TypeError):
+            SweepReport("t", {}, (), [record]).to_json()
+
+    def test_non_text_param_key_is_refused(self):
+        record = CellRecord({1: 1}, "s", "k", None, "o", None, CONFIRMED)
+        with pytest.raises(TypeError):
+            SweepReport("t", {}, (), [record]).to_json()
 
 
 class TestIdentitySweeps:
