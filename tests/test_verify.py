@@ -266,6 +266,17 @@ class TestJsonWriter:
         assert '"records": []' in SweepReport("t", {}, (), []).to_json()
         assert '"params": {}' in text
 
+    def test_edge_values(self):
+        values = [
+            float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 2**64 + 1, -(2**70),
+            True, False, None, " é\"\\\x00\U0001f600", "",
+        ]
+        params = {f"p{i}": value for i, value in enumerate(values)}
+        record = CellRecord(params, "s", "k", True, "o", float("nan"), CONFIRMED)
+        report = SweepReport("t", {}, (), [record], runtime_seconds=float("inf"))
+        for include_runtime in (False, True):
+            assert report.to_json(include_runtime) == reference_json(report, include_runtime)
+
     @pytest.mark.parametrize("value", [[], [1, 2], (1,), {}, {"a": 1}, {1, 2}, b"x"])
     def test_nested_param_value_is_refused(self, value):
         record = CellRecord({"n": 1, "x": value}, "s", "k", None, "o", None, CONFIRMED)
