@@ -11,7 +11,10 @@ iterated row by row, and the explicit alternating binomial sum
 
 Modular rows are reduced mod 2**bits throughout; for bits <= 64 the rows run
 on numpy uint64 (wraparound mod 2**64 is exact for any smaller power of two),
-above that on Python integers with a mask.
+above that on Python integers with a mask.  The uint64 rows advance by jumps
+of up to _MAX_JUMP steps: s steps of the recurrence are one banded matrix, so
+a jump is one numpy product of a cached coefficient band with the shifted
+copies of the row and one sum over the band.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .base2 import Valuation, nu2_int, s2
 from .errors import DomainError, ResourceCapError
@@ -47,7 +51,8 @@ __all__ = [
 ]
 
 DEFAULT_EXACT_CAP = 2000
-DEFAULT_ROW_CAP = 1 << 22  # row entries; memory is O(k * bits)
+DEFAULT_ROW_CAP = 1 << 22  # entries of the jump bands; a row gets at most half
+_MAX_JUMP = 16  # recurrence steps per numpy pass of the <= 64-bit row kernel
 _PASCAL_CAP = 1 << 19  # entries of the explicit rows' binomial triangle: k_max <= 1022, tens of MB
 
 _U64 = np.uint64
@@ -106,24 +111,90 @@ class PrecisionPolicy:
 # row engine (recurrence route)
 
 
+def _band_rows(depth: int) -> int:
+    """Rows of the bands for the jumps 1, 2, 4, ..., depth together: the sum of s + 1."""
+    return 2 * depth + depth.bit_length() - 1
+
+
+def _jump_depth(width: int) -> int:
+    """Longest jump, a power of two <= _MAX_JUMP, whose bands fit DEFAULT_ROW_CAP at this width."""
+    depth = _MAX_JUMP
+    while depth > 1 and _band_rows(depth) * width > DEFAULT_ROW_CAP:
+        depth >>= 1
+    return depth
+
+
+class _JumpBands:
+    """Cached coefficient bands of the row recurrence's jumps, mod 2**64, grown on demand.
+
+    s steps of the recurrence map a row to
+
+        row'[j] = sum_{i=0..s} h_{s-i}(j-i, ..., j) * row[j-i],
+
+    h the complete homogeneous symmetric polynomial.  The band of the jump
+    s = 2**e holds these coefficients, the one of row[j-i] at [i, j].  The
+    bands are built by running the plain recurrence on the coefficients,
+    snapshotting at 1, 2, 4, ... steps.  As in _ExactTable, a wider request
+    at least doubles the width.  The bands together never hold more than
+    DEFAULT_ROW_CAP entries, so rows too wide for the full depth get shorter
+    jumps.
+    """
+
+    def __init__(self) -> None:
+        self._width = 0
+        self._bands: list[np.ndarray] = []
+
+    def _build(self, width: int, depth: int) -> None:
+        idx = np.arange(width, dtype=_U64)
+        coef = np.ones((1, width), dtype=_U64)
+        self._width, self._bands = width, []
+        for s in range(1, depth + 1):
+            # the coefficient of row[j-i] after s steps: that of row[(j-1)-(i-1)] plus j times that of row[j-i]
+            nxt = np.zeros((s + 1, width), dtype=_U64)
+            np.multiply(coef, idx, out=nxt[:s])
+            nxt[1:, 1:] += coef[:, :-1]
+            coef = nxt
+            if s & (s - 1) == 0:
+                self._bands.append(coef)
+
+    def get(self, width: int) -> list[np.ndarray]:
+        """Bands of the jumps 2**e, e = 0, 1, ..., as deep as fits, sliced to width columns."""
+        depth = _jump_depth(width)
+        if width > self._width or len(self._bands) < depth.bit_length():
+            # a wider request doubles the width, a deeper one (after a wide, shallow build) does not
+            grown = 2 * self._width if width > self._width else width
+            self._build(max(width, min(grown, DEFAULT_ROW_CAP // _band_rows(depth))), depth)
+        return [band[:, :width] for band in self._bands]
+
+
+_BANDS = _JumpBands()
+
+
 def _rows_numpy(want: dict[int, Sequence[int]], k_max: int, bits: int) -> dict[int, list[int]]:
     # bits <= 64: uint64 wraparound is the working modulus, masked on capture
     mask = _U64((1 << bits) - 1)
-    row = np.zeros(k_max + 1, dtype=_U64)
+    width = k_max + 1
+    bands = _BANDS.get(width)
+    depth = 1 << (len(bands) - 1)
+    pad = np.zeros(depth + width, dtype=_U64)
+    row = pad[depth:]
     row[0] = 1
-    idx = np.arange(k_max + 1, dtype=_U64)
-    buf = np.empty(k_max, dtype=_U64) if k_max else None
+    windows = sliding_window_view(pad, width)  # windows[depth - i] = the row shifted right by i
+    prod = np.empty((depth + 1, width), dtype=_U64)
     out: dict[int, list[int]] = {}
-    if 0 in want:
-        out[0] = (row[want[0]] & mask).tolist()
-    for step in range(1, max(want) + 1):
-        if k_max:
-            np.multiply(row[1:], idx[1:], out=buf)
-            buf += row[:-1]
-            row[1:] = buf
-        row[0] = 0
-        if step in want:
-            out[step] = (row[want[step]] & mask).tolist()
+    n = 0
+    for target in sorted(want):
+        while n < target:
+            # the longest jump 2**e that does not pass the target
+            e = min(target - n, depth).bit_length() - 1
+            s = 1 << e
+            np.multiply(bands[e], windows[depth - s :][::-1], out=prod[: s + 1])
+            np.add.reduce(prod[: s + 1], axis=0, out=row)
+            n += s
+        ks = want[target]
+        if isinstance(ks, range):  # numpy would convert it element by element
+            ks = np.arange(ks.start, ks.stop, ks.step)
+        out[target] = (row[ks] & mask).tolist()
     return out
 
 
@@ -149,8 +220,13 @@ def stirling_rows_mod2(
     """Rows S(n, 0..k_max) mod 2**bits for several n in one recurrence pass.
 
     Sharing the pass is exact because every requested row is an intermediate
-    state of the longest one.  With columns, which maps each n to some
-    k <= k_max, row n holds only S(n, k) for those k, in that order.
+    state of the longest one.  With columns, which must map each n to some
+    k in 0..k_max, row n holds only S(n, k) for those k, in that order.  At
+    bits <= 64 the pass jumps: each numpy pass advances the row by the
+    longest cached power of two <= _MAX_JUMP steps that does not pass the
+    next requested row.  The row is capped at DEFAULT_ROW_CAP // 2 entries,
+    so that even the band of a single step (two entries per row entry) fits
+    the cap.
     """
     targets = sorted(set(ns))
     if not targets:
@@ -161,9 +237,19 @@ def stirling_rows_mod2(
         raise DomainError(f"need k_max >= 0, got {k_max}")
     if bits < 1:
         raise DomainError(f"need bits >= 1, got {bits}")
-    if k_max + 1 > DEFAULT_ROW_CAP:
-        raise ResourceCapError(f"row of {k_max + 1} entries exceeds cap {DEFAULT_ROW_CAP}")
-    want = {n: range(k_max + 1) if columns is None else columns[n] for n in targets}
+    if 2 * (k_max + 1) > DEFAULT_ROW_CAP:
+        raise ResourceCapError(f"row of {k_max + 1} entries exceeds cap {DEFAULT_ROW_CAP // 2}")
+    if columns is None:
+        want = {n: range(k_max + 1) for n in targets}
+    else:
+        missing = [n for n in targets if n not in columns]
+        if missing:
+            raise DomainError(f"no columns given for rows {missing}")
+        want = {n: columns[n] for n in targets}
+        for n, ks in want.items():
+            if len(ks) and not 0 <= min(ks) <= max(ks) <= k_max:
+                bad = next(k for k in ks if not 0 <= k <= k_max)
+                raise DomainError(f"column {bad} of row {n} is outside 0..{k_max}")
     if bits <= 64:
         return _rows_numpy(want, k_max, bits)
     return _rows_python(want, k_max, bits)

@@ -113,12 +113,111 @@ class TestRowEngine:
         with pytest.raises(ResourceCapError):
             stirling_row_mod2(10, 1 << 23, 8)
 
+    def test_row_cap_leaves_room_for_the_one_step_band(self):
+        # the band of a one-step jump holds two entries per row entry
+        for bits in (8, 96):
+            with pytest.raises(ResourceCapError):
+                stirling_row_mod2(10, engine.DEFAULT_ROW_CAP // 2, bits)
+
+    @pytest.mark.parametrize(
+        "columns",
+        [{5: [-1]}, {5: [1, 4]}, {7: [1]}],
+        ids=["negative-k", "k-above-k_max", "row-without-columns"],
+    )
+    def test_columns_are_checked(self, columns):
+        for bits in (16, 96):
+            with pytest.raises(DomainError):
+                stirling_rows_mod2((5,), 3, bits, columns)
+
     def test_parity_against_exact(self):
         # 1-bit rows: parity carried through the full recurrence
         for n in range(0, 201, 7):
             row = stirling_row_mod2(n, n, 1)
             for k in range(n + 1):
                 assert row[k] == stirling_exact(n, k) % 2
+
+
+def exact_rows(ns, k_max, bits, columns=None):
+    ks = {n: range(k_max + 1) if columns is None else columns[n] for n in ns}
+    return {n: [stirling_exact(n, k) % 2**bits for k in ks[n]] for n in ns}
+
+
+# the ways a request can leave the previous row: every gap up to two longest jumps and one more
+GAPS = range(2 * engine._MAX_JUMP + 2)
+
+
+class TestJumpKernel:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_sparse_rows_against_exact_and_python_kernel(self, data):
+        k_max = data.draw(st.integers(0, 90), label="k_max")
+        bits = data.draw(st.integers(1, 64), label="bits")
+        start = data.draw(st.integers(0, 100), label="start")
+        gaps = data.draw(st.lists(st.sampled_from(GAPS), min_size=1, max_size=6), label="gaps")
+        ns = sorted({min(start + sum(gaps[: i + 1]), 300) for i in range(len(gaps))})
+        columns = None
+        if data.draw(st.booleans(), label="columns"):
+            k = st.integers(0, k_max)
+            columns = {n: data.draw(st.lists(k, max_size=8), label=f"columns[{n}]") for n in ns}
+        rows = stirling_rows_mod2(ns, k_max, bits, columns)
+        assert rows == exact_rows(ns, k_max, bits, columns)
+        want = {n: range(k_max + 1) if columns is None else columns[n] for n in ns}
+        assert rows == engine._rows_python(want, k_max, bits)
+
+    @pytest.mark.parametrize("bits", [1, 37, 64])
+    def test_every_gap(self, bits):
+        # a row alone and a row after row 50, at every gap: each jump length and remainder
+        for gap in GAPS:
+            assert stirling_rows_mod2((gap,), 20, bits) == exact_rows((gap,), 20, bits)
+            ns = (50, 50 + gap)
+            assert stirling_rows_mod2(ns, 20, bits) == exact_rows(ns, 20, bits)
+
+    def test_range_columns(self):
+        # a range of columns is taken in its own order, also backwards and with a step
+        for columns in (range(20), range(19, -1, -1), range(1, 20, 3)):
+            for bits in (64, 96):
+                assert stirling_rows_mod2((40,), 19, bits, {40: columns}) == exact_rows(
+                    (40,), 19, bits, {40: columns}
+                )
+
+    @pytest.mark.parametrize("n", [99_999, 100_000, 100_003])
+    def test_deep_narrow_rows_against_explicit_sum(self, n):
+        ks = [0, 1, 3, 4, 63]
+        for bits in (13, 64):
+            row = stirling_rows_mod2((n,), 63, bits, {n: ks})[n]
+            assert row == [stirling_explicit_mod2(n, k, bits).value for k in ks]
+
+    def test_narrow_after_wide_and_wide_after_narrow(self, monkeypatch):
+        # each sequence starts from an empty band cache; the process-wide one is restored after
+        ns = (0, 1, 17, 64, 65, 130)
+        for widths in ((120, 9), (9, 120), (1, 300, 2)):
+            monkeypatch.setattr(engine, "_BANDS", engine._JumpBands())
+            for k_max in widths:
+                assert stirling_rows_mod2(ns, k_max, 64) == exact_rows(ns, k_max, 64)
+
+    def test_jump_depth_fits_the_cap(self):
+        cap = engine.DEFAULT_ROW_CAP
+        assert engine._jump_depth(1) == engine._MAX_JUMP
+        full = cap // engine._band_rows(engine._MAX_JUMP)
+        assert engine._jump_depth(full) == engine._MAX_JUMP
+        assert engine._jump_depth(full + 1) == engine._MAX_JUMP // 2
+        for width in (1, full, full + 1, cap // 33 + 1, cap // 5 + 1, cap // 2):
+            depth = engine._jump_depth(width)
+            assert depth >= 1 and engine._band_rows(depth) * width <= cap
+
+    def test_wide_row_keeps_the_band_cache_under_the_cap(self, monkeypatch):
+        # a few steps at a width too wide for the longest jump
+        bands = engine._JumpBands()
+        monkeypatch.setattr(engine, "_BANDS", bands)
+        width = engine.DEFAULT_ROW_CAP // 33 + 1
+        rows = stirling_rows_mod2((3, 5), width - 1, 64)
+        assert sum(band.size for band in bands._bands) <= engine.DEFAULT_ROW_CAP
+        assert len(bands._bands) < engine._MAX_JUMP.bit_length()
+        assert rows == {n: exact_rows((n,), n, 64)[n] + [0] * (width - 1 - n) for n in (3, 5)}
+        # a narrow call after it gets the full depth again, without the wide width
+        assert stirling_rows_mod2((70,), 40, 64) == exact_rows((70,), 40, 64)
+        assert len(bands._bands) == engine._MAX_JUMP.bit_length()
+        assert bands._width == 41
 
 
 class TestExplicitEngine:
