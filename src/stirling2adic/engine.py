@@ -9,12 +9,13 @@ iterated row by row, and the explicit alternating binomial sum
 
     S(n, k) = (1/k!) * sum_{i=0..k} (-1)**i * C(k, i) * (k - i)**n.
 
-Modular rows are reduced mod 2**bits throughout; for bits <= 64 the rows run
-on numpy uint64 (wraparound mod 2**64 is exact for any smaller power of two),
-above that on Python integers with a mask.  The uint64 rows advance by jumps
-of up to _MAX_JUMP steps: s steps of the recurrence are one banded matrix, so
-a jump is one numpy product of a cached coefficient band with the shifted
-copies of the row and one sum over the band.
+Modular rows are reduced mod 2**bits throughout.  For bits <= 64 the rows run
+in numpy lanes as narrow as the precision allows: uint32 up to 32 bits, uint64
+from 33 to 64 (wraparound mod 2**32 or 2**64 is exact for any smaller power of
+two); above that they run on Python integers with a mask.  The numpy rows
+advance by jumps of up to _MAX_JUMP steps: s steps of the recurrence are one
+banded matrix, so a jump is one numpy product of a cached coefficient band
+with the shifted copies of the row and one sum over the band.
 """
 
 from __future__ import annotations
@@ -51,11 +52,9 @@ __all__ = [
 ]
 
 DEFAULT_EXACT_CAP = 2000
-DEFAULT_ROW_CAP = 1 << 22  # entries of the jump bands; a row gets at most half
+DEFAULT_ROW_CAP = 1 << 22  # entries of each lane's jump bands; a row gets at most half
 _MAX_JUMP = 16  # recurrence steps per numpy pass of the <= 64-bit row kernel
 _PASCAL_CAP = 1 << 19  # entries of the explicit rows' binomial triangle: k_max <= 1022, tens of MB
-
-_U64 = np.uint64
 
 Query = tuple[int, int | None, int]  # (n1, n2, k): nu2(S(n1, k)), or of S(n1, k) - S(n2, k)
 
@@ -125,7 +124,7 @@ def _jump_depth(width: int) -> int:
 
 
 class _JumpBands:
-    """Cached coefficient bands of the row recurrence's jumps, mod 2**64, grown on demand.
+    """Cached coefficient bands of the row recurrence's jumps in one lane dtype, grown on demand.
 
     s steps of the recurrence map a row to
 
@@ -137,20 +136,21 @@ class _JumpBands:
     snapshotting at 1, 2, 4, ... steps.  As in _ExactTable, a wider request
     at least doubles the width.  The bands together never hold more than
     DEFAULT_ROW_CAP entries, so rows too wide for the full depth get shorter
-    jumps.
+    jumps.  The bands hold the coefficients mod 2**32 or 2**64, by the lane.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, lane: type[np.unsignedinteger]) -> None:
+        self._lane = lane
         self._width = 0
         self._bands: list[np.ndarray] = []
 
     def _build(self, width: int, depth: int) -> None:
-        idx = np.arange(width, dtype=_U64)
-        coef = np.ones((1, width), dtype=_U64)
+        idx = np.arange(width, dtype=self._lane)
+        coef = np.ones((1, width), dtype=self._lane)
         self._width, self._bands = width, []
         for s in range(1, depth + 1):
             # the coefficient of row[j-i] after s steps: that of row[(j-1)-(i-1)] plus j times that of row[j-i]
-            nxt = np.zeros((s + 1, width), dtype=_U64)
+            nxt = np.zeros((s + 1, width), dtype=self._lane)
             np.multiply(coef, idx, out=nxt[:s])
             nxt[1:, 1:] += coef[:, :-1]
             coef = nxt
@@ -167,20 +167,21 @@ class _JumpBands:
         return [band[:, :width] for band in self._bands]
 
 
-_BANDS = _JumpBands()
+_BANDS = {lane: _JumpBands(lane) for lane in (np.uint32, np.uint64)}
 
 
 def _rows_numpy(want: dict[int, Sequence[int]], k_max: int, bits: int) -> dict[int, list[int]]:
-    # bits <= 64: uint64 wraparound is the working modulus, masked on capture
-    mask = _U64((1 << bits) - 1)
+    # bits <= 64: the lane's wraparound is the working modulus, masked on capture
+    lane = np.uint32 if bits <= 32 else np.uint64
+    mask = lane((1 << bits) - 1)
     width = k_max + 1
-    bands = _BANDS.get(width)
+    bands = _BANDS[lane].get(width)
     depth = 1 << (len(bands) - 1)
-    pad = np.zeros(depth + width, dtype=_U64)
+    pad = np.zeros(depth + width, dtype=lane)
     row = pad[depth:]
     row[0] = 1
     windows = sliding_window_view(pad, width)  # windows[depth - i] = the row shifted right by i
-    prod = np.empty((depth + 1, width), dtype=_U64)
+    prod = np.empty((depth + 1, width), dtype=lane)
     out: dict[int, list[int]] = {}
     n = 0
     for target in sorted(want):
@@ -189,7 +190,7 @@ def _rows_numpy(want: dict[int, Sequence[int]], k_max: int, bits: int) -> dict[i
             e = min(target - n, depth).bit_length() - 1
             s = 1 << e
             np.multiply(bands[e], windows[depth - s :][::-1], out=prod[: s + 1])
-            np.add.reduce(prod[: s + 1], axis=0, out=row)
+            np.add.reduce(prod[: s + 1], axis=0, dtype=lane, out=row)
             n += s
         ks = want[target]
         if isinstance(ks, range):  # numpy would convert it element by element
@@ -222,7 +223,8 @@ def stirling_rows_mod2(
     Sharing the pass is exact because every requested row is an intermediate
     state of the longest one.  With columns, which must map each n to some
     k in 0..k_max, row n holds only S(n, k) for those k, in that order.  At
-    bits <= 64 the pass jumps: each numpy pass advances the row by the
+    bits <= 64 the pass runs in uint32 lanes up to 32 bits and in uint64
+    lanes above, and it jumps: each numpy pass advances the row by the
     longest cached power of two <= _MAX_JUMP steps that does not pass the
     next requested row.  The row is capped at DEFAULT_ROW_CAP // 2 entries,
     so that even the band of a single step (two entries per row entry) fits
@@ -415,10 +417,17 @@ def valuations(queries: Iterable[Query], policy: PrecisionPolicy) -> dict[Query,
     finite valuation and takes its query off the ladder; a query whose
     residue is still zero at max_bits gets an at-least valuation.  Zero
     values (k = 0, k > n, n1 = n2) are the caller's to rule out.
+
+    When the first rung lies in 33..64, a 32-bit pass over every query goes
+    first: it runs in uint32 lanes, at about half the cost of a uint64 pass,
+    and a nonzero residue mod 2**32 certifies nu2 < 32, the value the first
+    rung would certify.  Only the queries it leaves at zero climb the
+    policy's own rungs.
     """
     out: dict[Query, Valuation] = {}
     pending = set(queries)
-    for bits in policy.ladder():
+    first_pass = (32,) if 32 < policy.initial_bits <= 64 else ()
+    for bits in (*first_pass, *policy.ladder()):
         if not pending:
             break
         entries = sorted({(n, k) for n1, n2, k in pending for n in (n1, n2) if n is not None})

@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -145,13 +147,17 @@ def exact_rows(ns, k_max, bits, columns=None):
 # the ways a request can leave the previous row: every gap up to two longest jumps and one more
 GAPS = range(2 * engine._MAX_JUMP + 2)
 
+# each numpy lane with the widest precision it runs
+LANES = ((np.uint32, 32), (np.uint64, 64))
+
 
 class TestJumpKernel:
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_sparse_rows_against_exact_and_python_kernel(self, data):
+        # half the draws at 31..34 bits, around the switch from uint32 to uint64 lanes
         k_max = data.draw(st.integers(0, 90), label="k_max")
-        bits = data.draw(st.integers(1, 64), label="bits")
+        bits = data.draw(st.one_of(st.integers(31, 34), st.integers(1, 64)), label="bits")
         start = data.draw(st.integers(0, 100), label="start")
         gaps = data.draw(st.lists(st.sampled_from(GAPS), min_size=1, max_size=6), label="gaps")
         ns = sorted({min(start + sum(gaps[: i + 1]), 300) for i in range(len(gaps))})
@@ -163,8 +169,12 @@ class TestJumpKernel:
         assert rows == exact_rows(ns, k_max, bits, columns)
         want = {n: range(k_max + 1) if columns is None else columns[n] for n in ns}
         assert rows == engine._rows_python(want, k_max, bits)
+        if bits <= 32:
+            # the uint32 lane agrees with the uint64 lane mod 2**bits
+            wide = stirling_rows_mod2(ns, k_max, 64, columns)
+            assert rows == {n: [r % 2**bits for r in row] for n, row in wide.items()}
 
-    @pytest.mark.parametrize("bits", [1, 37, 64])
+    @pytest.mark.parametrize("bits", [1, 32, 33, 37, 64])
     def test_every_gap(self, bits):
         # a row alone and a row after row 50, at every gap: each jump length and remainder
         for gap in GAPS:
@@ -188,12 +198,12 @@ class TestJumpKernel:
             assert row == [stirling_explicit_mod2(n, k, bits).value for k in ks]
 
     def test_narrow_after_wide_and_wide_after_narrow(self, monkeypatch):
-        # each sequence starts from an empty band cache; the process-wide one is restored after
+        # each sequence starts from an empty band cache of its lane; the process-wide ones are restored after
         ns = (0, 1, 17, 64, 65, 130)
-        for widths in ((120, 9), (9, 120), (1, 300, 2)):
-            monkeypatch.setattr(engine, "_BANDS", engine._JumpBands())
+        for (lane, bits), widths in itertools.product(LANES, ((120, 9), (9, 120), (1, 300, 2))):
+            monkeypatch.setitem(engine._BANDS, lane, engine._JumpBands(lane))
             for k_max in widths:
-                assert stirling_rows_mod2(ns, k_max, 64) == exact_rows(ns, k_max, 64)
+                assert stirling_rows_mod2(ns, k_max, bits) == exact_rows(ns, k_max, bits)
 
     def test_jump_depth_fits_the_cap(self):
         cap = engine.DEFAULT_ROW_CAP
@@ -206,18 +216,20 @@ class TestJumpKernel:
             assert depth >= 1 and engine._band_rows(depth) * width <= cap
 
     def test_wide_row_keeps_the_band_cache_under_the_cap(self, monkeypatch):
-        # a few steps at a width too wide for the longest jump
-        bands = engine._JumpBands()
-        monkeypatch.setattr(engine, "_BANDS", bands)
+        # a few steps at a width too wide for the longest jump, in each lane's own cache and dtype
         width = engine.DEFAULT_ROW_CAP // 33 + 1
-        rows = stirling_rows_mod2((3, 5), width - 1, 64)
-        assert sum(band.size for band in bands._bands) <= engine.DEFAULT_ROW_CAP
-        assert len(bands._bands) < engine._MAX_JUMP.bit_length()
-        assert rows == {n: exact_rows((n,), n, 64)[n] + [0] * (width - 1 - n) for n in (3, 5)}
-        # a narrow call after it gets the full depth again, without the wide width
-        assert stirling_rows_mod2((70,), 40, 64) == exact_rows((70,), 40, 64)
-        assert len(bands._bands) == engine._MAX_JUMP.bit_length()
-        assert bands._width == 41
+        for lane, bits in LANES:
+            bands = engine._JumpBands(lane)
+            monkeypatch.setitem(engine._BANDS, lane, bands)
+            rows = stirling_rows_mod2((3, 5), width - 1, bits)
+            assert sum(band.size for band in bands._bands) <= engine.DEFAULT_ROW_CAP
+            assert len(bands._bands) < engine._MAX_JUMP.bit_length()
+            assert {band.dtype for band in bands._bands} == {np.dtype(lane)}
+            assert rows == {n: exact_rows((n,), n, bits)[n] + [0] * (width - 1 - n) for n in (3, 5)}
+            # a narrow call after it gets the full depth again, without the wide width
+            assert stirling_rows_mod2((70,), 40, bits) == exact_rows((70,), 40, bits)
+            assert len(bands._bands) == engine._MAX_JUMP.bit_length()
+            assert bands._width == 41
 
 
 class TestExplicitEngine:
@@ -339,9 +351,15 @@ def record_passes(monkeypatch):
 
 
 def expected_passes(queries, policy):
-    """(ns, k_max, bits) of each rung: the rows and the largest k of the pending queries."""
+    """(ns, k_max, bits) of each rung: the rows and the largest k of the pending queries.
+
+    A first rung in 33..64 is preceded by a 32-bit pass over every query.
+    """
     passes, pending = [], set(queries)
-    for bits in policy.ladder():
+    ladder = list(policy.ladder())
+    if 32 < ladder[0] <= 64:
+        ladder.insert(0, 32)
+    for bits in ladder:
         if pending:
             ns = sorted({n for n1, n2, _ in pending for n in (n1, n2) if n is not None})
             passes.append((ns, max(k for *_, k in pending), bits))
@@ -379,8 +397,9 @@ class TestValuations:
         passes = record_passes(monkeypatch)
         out = valuations(GRID_QUERIES, policy)
         assert [p[:3] for p in passes] == expected_passes(GRID_QUERIES, policy)
-        # the rows 9 and 25 are certified on the first rung, (80, 70) at k = 2 on the last
-        assert [p[0] for p in passes] == [[9, 25, 70, 80], [70, 80], [70, 80]]
+        # the rows 9 and 25 are certified by the 32-bit pass, (80, 70) at k = 2 on the last rung
+        assert [p[0] for p in passes] == [[9, 25, 70, 80], [70, 80], [70, 80], [70, 80]]
+        assert [p[2] for p in passes] == [32, 33, 66, 132]
         assert out[80, 70, 2] == Valuation.finite(69)
         assert out == {q: expected_valuation(exact_value(*q), 132) for q in GRID_QUERIES}
 
@@ -397,6 +416,26 @@ class TestValuations:
             }
             pending = {q for q in pending if exact_value(*q) % 2**bits == 0}
         assert len(passes) > 2 and not pending
+
+    @pytest.mark.parametrize(
+        "query, policy, bits, expected",
+        [
+            # nu2(S(50, 2) - S(40, 2)) = 39 and nu2(S(40, 2) - S(33, 2)) = 32: zero mod 2**32
+            ((50, 40, 2), PrecisionPolicy(48, 48), [32, 48], Valuation.finite(39)),
+            ((40, 33, 2), PrecisionPolicy(33, 33), [32, 33], Valuation.finite(32)),
+            ((40, 33, 2), PrecisionPolicy(32, 64), [32, 64], Valuation.finite(32)),
+            # nu2(S(12, 7)) = 2, beyond what PrecisionPolicy(1, 1) may certify
+            ((12, None, 7), PrecisionPolicy(1, 1), [1], Valuation.at_least(1)),
+            ((12, None, 7), PrecisionPolicy(64, 64), [32], Valuation.finite(2)),
+            ((12, None, 7), PrecisionPolicy(65, 130), [65], Valuation.finite(2)),
+        ],
+    )
+    def test_32_bit_first_pass(self, monkeypatch, query, policy, bits, expected):
+        # only a first rung in 33..64 gets the 32-bit pass
+        passes = record_passes(monkeypatch)
+        assert valuations([query], policy) == {query: expected}
+        assert [p[2] for p in passes] == bits
+        assert expected == expected_valuation(exact_value(*query), policy.max_bits)
 
     def test_zero_columns_exhaust_the_ladder(self):
         # S(5, 7) = 0 and S(12, 3) - S(12, 3) = 0: the caller's cases to rule out
