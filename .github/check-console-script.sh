@@ -1,0 +1,19 @@
+#!/usr/bin/env bash
+# Runs the installed stirling2adic console script from the current directory,
+# which should lie outside the checkout, so that the package is the installed
+# one and not src/.  Each check pins a command's first output line and exit code.
+set -u
+
+check() {
+    local expected_code=$1 expected_line=$2 code=0 out
+    shift 2
+    out=$(stirling2adic "$@") || code=$?
+    printf '%s\n' "$out"
+    if [ "$code" != "$expected_code" ] || [ "$(printf '%s\n' "$out" | head -n 1)" != "$expected_line" ]; then
+        echo "stirling2adic $*: exit $code, expected exit $expected_code and first line '$expected_line'" >&2
+        exit 1
+    fi
+}
+
+check 0 'nu2(S(1000000,64)) = 0' val 1000000 64
+check 2 'nu2(S(40,8) - S(8,8)) = 6' diff 5 1 3 8  # the pinned A05 cell: the formula fails here

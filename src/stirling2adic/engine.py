@@ -13,9 +13,12 @@ Modular rows are reduced mod 2**bits throughout.  For bits <= 64 the rows run
 in numpy lanes as narrow as the precision allows: uint32 up to 32 bits, uint64
 from 33 to 64 (wraparound mod 2**32 or 2**64 is exact for any smaller power of
 two); above that they run on Python integers with a mask.  The numpy rows
-advance by jumps of up to _MAX_JUMP steps: s steps of the recurrence are one
-banded matrix, so a jump is one numpy product of a cached coefficient band
-with the shifted copies of the row and one sum over the band.
+advance by jumps of 2**e steps, e as large as the next wanted row and the
+band caps allow: s steps of the recurrence are one banded matrix, so a jump
+is one numpy product of a cached coefficient band with the shifted copies of
+the row and one sum over the band.  The band of 2s steps is the band of s
+composed with itself, so a narrow row N steps long takes O(log N) numpy
+passes.
 """
 
 from __future__ import annotations
@@ -52,8 +55,9 @@ __all__ = [
 ]
 
 DEFAULT_EXACT_CAP = 2000
-DEFAULT_ROW_CAP = 1 << 22  # entries of each lane's jump bands; a row gets at most half
-_MAX_JUMP = 16  # recurrence steps per numpy pass of the <= 64-bit row kernel
+DEFAULT_ROW_CAP = 1 << 22  # entries of a lane's jump bands of 1 to 16 steps; a row gets at most half
+_SHORT_JUMPS = 5  # the bands of 1, 2, 4, 8 and 16 steps, which share DEFAULT_ROW_CAP
+_LANE_BAND_CAP = 1 << 17  # entries of a lane's bands together once it holds one of more than 16 steps
 _PASCAL_CAP = 1 << 19  # entries of the explicit rows' binomial triangle: k_max <= 1022, tens of MB
 
 Query = tuple[int, int | None, int]  # (n1, n2, k): nu2(S(n1, k)), or of S(n1, k) - S(n2, k)
@@ -110,17 +114,21 @@ class PrecisionPolicy:
 # row engine (recurrence route)
 
 
-def _band_rows(depth: int) -> int:
-    """Rows of the bands for the jumps 1, 2, 4, ..., depth together: the sum of s + 1."""
-    return 2 * depth + depth.bit_length() - 1
+def _jump_count(width: int, want: int) -> int:
+    """How many of the bands of the jumps 1, 2, 4, ..., 2**(want-1) fit the caps at this width.
 
-
-def _jump_depth(width: int) -> int:
-    """Longest jump, a power of two <= _MAX_JUMP, whose bands fit DEFAULT_ROW_CAP at this width."""
-    depth = _MAX_JUMP
-    while depth > 1 and _band_rows(depth) * width > DEFAULT_ROW_CAP:
-        depth >>= 1
-    return depth
+    The bands of 1 to 16 steps together hold at most DEFAULT_ROW_CAP entries.
+    A longer band is built only while the lane's bands, with it, hold at most
+    _LANE_BAND_CAP.  From e = 2 on, a band holds no more entries than all
+    shorter bands together, so each longer band holds at most half of that
+    cap.  Band sizes grow with e, so the bands that fit are the first ones.
+    """
+    total = 0
+    for e in range(want):
+        total += (min(1 << e, width - 1) + 1) * width
+        if total > (DEFAULT_ROW_CAP if e < _SHORT_JUMPS else _LANE_BAND_CAP):
+            return e
+    return want
 
 
 class _JumpBands:
@@ -131,12 +139,25 @@ class _JumpBands:
         row'[j] = sum_{i=0..s} h_{s-i}(j-i, ..., j) * row[j-i],
 
     h the complete homogeneous symmetric polynomial.  The band of the jump
-    s = 2**e holds these coefficients, the one of row[j-i] at [i, j].  The
-    bands are built by running the plain recurrence on the coefficients,
-    snapshotting at 1, 2, 4, ... steps.  As in _ExactTable, a wider request
-    at least doubles the width.  The bands together never hold more than
-    DEFAULT_ROW_CAP entries, so rows too wide for the full depth get shorter
-    jumps.  The bands hold the coefficients mod 2**32 or 2**64, by the lane.
+    s = 2**e holds these coefficients, the one of row[j-i] at [i, j].  Only
+    i <= j can be nonzero, so the band keeps min(s, width - 1) + 1 rows, and
+    a jump longer than the row is wide costs about width**2 products.  The
+    band of one step is the recurrence itself; that of 2s is the band of s
+    composed with itself,
+
+        c_2s[i, j] = sum_t c_s[t, j] * c_s[i-t, j-t],
+
+    in the lane's dtype, so the bands hold the coefficients mod 2**32 or
+    2**64.  Bands are built lazily, only up to the largest gap asked for and
+    as far as _jump_count allows; rows too wide for a band get shorter jumps.
+
+    The cache keeps the exact width of the widest request since it was
+    last rebuilt.  A narrower request slices the cached bands; a wider one
+    widens them in place, composing only their new columns.  The bands are
+    rebuilt at a narrower width only when the cached width allows no jump
+    past 16 steps and the request's own width does; rebuilding whenever a
+    narrower width fits one more band would rebuild on every other query
+    of a stream of single queries of mixed widths.
     """
 
     def __init__(self, lane: type[np.unsignedinteger]) -> None:
@@ -144,27 +165,42 @@ class _JumpBands:
         self._width = 0
         self._bands: list[np.ndarray] = []
 
-    def _build(self, width: int, depth: int) -> None:
-        idx = np.arange(width, dtype=self._lane)
-        coef = np.ones((1, width), dtype=self._lane)
-        self._width, self._bands = width, []
-        for s in range(1, depth + 1):
-            # the coefficient of row[j-i] after s steps: that of row[(j-1)-(i-1)] plus j times that of row[j-i]
-            nxt = np.zeros((s + 1, width), dtype=self._lane)
-            np.multiply(coef, idx, out=nxt[:s])
-            nxt[1:, 1:] += coef[:, :-1]
-            coef = nxt
-            if s & (s - 1) == 0:
-                self._bands.append(coef)
+    def _grow(self, e: int, lo: int = 0) -> np.ndarray:
+        """Band e at the cached width: columns below lo from the cached band e, the rest computed."""
+        width = self._width
+        band = np.zeros((min(1 << e, width - 1) + 1, width), dtype=self._lane)
+        if lo:
+            band[: self._bands[e].shape[0], :lo] = self._bands[e]
+        if e == 0:
+            # one step: row'[j] = j * row[j] + row[j-1]
+            band[0, lo:] = np.arange(lo, width)
+            band[1:, max(lo, 1) :] = 1
+            return band
+        half = self._bands[e - 1]
+        r = half.shape[0]
+        for t in range(r):
+            # c_s[t, j] * c_s[u, j-t] adds to c_2s[t+u, j]; t + u <= j < width, else it is 0
+            c, u = max(t, lo), min(r, band.shape[0] - t)
+            band[t : t + u, c:] += half[t, c:] * half[:u, c - t : width - t]
+        return band
 
-    def get(self, width: int) -> list[np.ndarray]:
-        """Bands of the jumps 2**e, e = 0, 1, ..., as deep as fits, sliced to width columns."""
-        depth = _jump_depth(width)
-        if width > self._width or len(self._bands) < depth.bit_length():
-            # a wider request doubles the width, a deeper one (after a wide, shallow build) does not
-            grown = 2 * self._width if width > self._width else width
-            self._build(max(width, min(grown, DEFAULT_ROW_CAP // _band_rows(depth))), depth)
-        return [band[:, :width] for band in self._bands]
+    def get(self, width: int, gap: int) -> list[np.ndarray]:
+        """Bands of the jumps 2**e <= gap, e = 0, 1, ..., as many as fit, sliced to width columns."""
+        want = gap.bit_length()
+        if _jump_count(self._width, want) <= _SHORT_JUMPS < _jump_count(width, want):
+            # no jump past 16 steps at the cached width, but at this one: start afresh at it
+            self._width, self._bands = 0, []
+        lo = self._width
+        if width > lo:
+            # widen, in place, each band that still fits: only the new columns are computed
+            self._width = width
+            del self._bands[_jump_count(width, len(self._bands)) :]
+            for e in range(len(self._bands)):
+                self._bands[e] = self._grow(e, lo)
+        count = _jump_count(self._width, want)
+        while len(self._bands) < count:
+            self._bands.append(self._grow(len(self._bands)))
+        return [band[: min(1 << e, width - 1) + 1, :width] for e, band in enumerate(self._bands[:count])]
 
 
 _BANDS = {lane: _JumpBands(lane) for lane in (np.uint32, np.uint64)}
@@ -175,23 +211,24 @@ def _rows_numpy(want: dict[int, Sequence[int]], k_max: int, bits: int) -> dict[i
     lane = np.uint32 if bits <= 32 else np.uint64
     mask = lane((1 << bits) - 1)
     width = k_max + 1
-    bands = _BANDS[lane].get(width)
-    depth = 1 << (len(bands) - 1)
-    pad = np.zeros(depth + width, dtype=lane)
-    row = pad[depth:]
+    targets = sorted(want)
+    bands = _BANDS[lane].get(width, max(b - a for a, b in zip([0, *targets], targets)))
+    reach = bands[-1].shape[0] if bands else 1  # the most shifts of the row a jump reads
+    pad = np.zeros(reach - 1 + width, dtype=lane)
+    row = pad[reach - 1 :]
     row[0] = 1
-    windows = sliding_window_view(pad, width)  # windows[depth - i] = the row shifted right by i
-    prod = np.empty((depth + 1, width), dtype=lane)
+    shifted = sliding_window_view(pad, width)[::-1]  # shifted[i] = the row shifted right by i
+    prod = np.empty((reach, width), dtype=lane)
     out: dict[int, list[int]] = {}
     n = 0
-    for target in sorted(want):
+    for target in targets:
         while n < target:
             # the longest jump 2**e that does not pass the target
-            e = min(target - n, depth).bit_length() - 1
-            s = 1 << e
-            np.multiply(bands[e], windows[depth - s :][::-1], out=prod[: s + 1])
-            np.add.reduce(prod[: s + 1], axis=0, dtype=lane, out=row)
-            n += s
+            e = min((target - n).bit_length(), len(bands)) - 1
+            r = bands[e].shape[0]
+            np.multiply(bands[e], shifted[:r], out=prod[:r])
+            np.add.reduce(prod[:r], axis=0, dtype=lane, out=row)
+            n += 1 << e
         ks = want[target]
         if isinstance(ks, range):  # numpy would convert it element by element
             ks = np.arange(ks.start, ks.stop, ks.step)
@@ -225,10 +262,11 @@ def stirling_rows_mod2(
     k in 0..k_max, row n holds only S(n, k) for those k, in that order.  At
     bits <= 64 the pass runs in uint32 lanes up to 32 bits and in uint64
     lanes above, and it jumps: each numpy pass advances the row by the
-    longest cached power of two <= _MAX_JUMP steps that does not pass the
-    next requested row.  The row is capped at DEFAULT_ROW_CAP // 2 entries,
-    so that even the band of a single step (two entries per row entry) fits
-    the cap.
+    longest power of two steps that does not pass the next requested row and
+    whose band fits the caps of _jump_count; a jump longer than the row is
+    wide costs about (k_max + 1)**2 products.  The row is capped at
+    DEFAULT_ROW_CAP // 2 entries, so that even the band of a single step
+    (two entries per row entry) fits the cap.
     """
     targets = sorted(set(ns))
     if not targets:

@@ -144,8 +144,56 @@ def exact_rows(ns, k_max, bits, columns=None):
     return {n: [stirling_exact(n, k) % 2**bits for k in ks[n]] for n in ns}
 
 
-# the ways a request can leave the previous row: every gap up to two longest jumps and one more
-GAPS = range(2 * engine._MAX_JUMP + 2)
+def reference_rows(ns, k_max, bits):
+    """exact_rows up to row 300, the explicit sum above it, where the exact triangle would grow large."""
+    return {
+        n: exact_rows((n,), k_max, bits)[n]
+        if n <= 300
+        else [stirling_explicit_mod2(n, k, bits).value for k in range(k_max + 1)]
+        for n in ns
+    }
+
+
+def recurrence_bands(lane, width, depth):
+    """The bands of the jumps 1, 2, 4, ... <= depth, s + 1 rows each, built by
+    running the plain recurrence on the coefficients: an independent reference
+    for the bands that _JumpBands composes."""
+    idx = np.arange(width, dtype=lane)
+    coef = np.ones((1, width), dtype=lane)
+    bands = []
+    for s in range(1, depth + 1):
+        # the coefficient of row[j-i] after s steps: that of row[(j-1)-(i-1)] plus j times that of row[j-i]
+        nxt = np.zeros((s + 1, width), dtype=lane)
+        np.multiply(coef, idx, out=nxt[:s])
+        nxt[1:, 1:] += coef[:, :-1]
+        coef = nxt
+        if s & (s - 1) == 0:
+            bands.append(coef)
+    return bands
+
+
+def band_sizes(count, width):
+    """Entries of the bands of the jumps 1, 2, ..., 2**(count-1) at this width."""
+    return [(min(1 << e, width - 1) + 1) * width for e in range(count)]
+
+
+# entries of one band of more than 16 steps: the lane cap keeps each such band under half of it
+LONG_BAND_CAP = engine._LANE_BAND_CAP // 2
+
+
+def assert_within_caps(cache):
+    """The cached bands of one lane: no band and no total above its cap."""
+    sizes = [band.size for band in cache._bands]
+    assert sizes == band_sizes(len(sizes), cache._width)
+    assert sum(sizes[: engine._SHORT_JUMPS]) <= engine.DEFAULT_ROW_CAP
+    if len(sizes) > engine._SHORT_JUMPS:
+        assert max(sizes[engine._SHORT_JUMPS :]) <= LONG_BAND_CAP
+        assert sum(sizes) <= engine._LANE_BAND_CAP
+
+
+# the ways a request can leave the previous row: every gap up to two 16-step
+# jumps and one more, and every power of two up to 2**13 with its neighbours
+GAPS = sorted({*range(34), *(2**e + d for e in range(14) for d in (-1, 0, 1))})
 
 # each numpy lane with the widest precision it runs
 LANES = ((np.uint32, 32), (np.uint64, 64))
@@ -155,18 +203,21 @@ class TestJumpKernel:
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_sparse_rows_against_exact_and_python_kernel(self, data):
-        # half the draws at 31..34 bits, around the switch from uint32 to uint64 lanes
+        # half the draws at 31..34 bits, around the switch from uint32 to uint64
+        # lanes; rows past 300 are checked against the Python kernel alone
         k_max = data.draw(st.integers(0, 90), label="k_max")
         bits = data.draw(st.one_of(st.integers(31, 34), st.integers(1, 64)), label="bits")
         start = data.draw(st.integers(0, 100), label="start")
-        gaps = data.draw(st.lists(st.sampled_from(GAPS), min_size=1, max_size=6), label="gaps")
-        ns = sorted({min(start + sum(gaps[: i + 1]), 300) for i in range(len(gaps))})
+        gap = st.one_of(st.sampled_from(GAPS), st.integers(0, 1 << 12))
+        gaps = data.draw(st.lists(gap, min_size=1, max_size=6), label="gaps")
+        ns = sorted({min(start + sum(gaps[: i + 1]), 1 << 13) for i in range(len(gaps))})
         columns = None
         if data.draw(st.booleans(), label="columns"):
             k = st.integers(0, k_max)
             columns = {n: data.draw(st.lists(k, max_size=8), label=f"columns[{n}]") for n in ns}
         rows = stirling_rows_mod2(ns, k_max, bits, columns)
-        assert rows == exact_rows(ns, k_max, bits, columns)
+        small = [n for n in ns if n <= 300]
+        assert {n: rows[n] for n in small} == exact_rows(small, k_max, bits, columns)
         want = {n: range(k_max + 1) if columns is None else columns[n] for n in ns}
         assert rows == engine._rows_python(want, k_max, bits)
         if bits <= 32:
@@ -178,9 +229,9 @@ class TestJumpKernel:
     def test_every_gap(self, bits):
         # a row alone and a row after row 50, at every gap: each jump length and remainder
         for gap in GAPS:
-            assert stirling_rows_mod2((gap,), 20, bits) == exact_rows((gap,), 20, bits)
+            assert stirling_rows_mod2((gap,), 20, bits) == reference_rows((gap,), 20, bits)
             ns = (50, 50 + gap)
-            assert stirling_rows_mod2(ns, 20, bits) == exact_rows(ns, 20, bits)
+            assert stirling_rows_mod2(ns, 20, bits) == reference_rows(ns, 20, bits)
 
     def test_range_columns(self):
         # a range of columns is taken in its own order, also backwards and with a step
@@ -190,12 +241,30 @@ class TestJumpKernel:
                     (40,), 19, bits, {40: columns}
                 )
 
-    @pytest.mark.parametrize("n", [99_999, 100_000, 100_003])
+    @pytest.mark.parametrize("n", [99_999, 100_000, 100_003, 2**20 - 1, 2**20, 10**6])
     def test_deep_narrow_rows_against_explicit_sum(self, n):
-        ks = [0, 1, 3, 4, 63]
-        for bits in (13, 64):
-            row = stirling_rows_mod2((n,), 63, bits, {n: ks})[n]
-            assert row == [stirling_explicit_mod2(n, k, bits).value for k in ks]
+        for k_max in (64, 256):
+            ks = [0, 1, 3, 4, 63, k_max]
+            for bits in (13, 32, 64):
+                row = stirling_rows_mod2((n,), k_max, bits, {n: ks})[n]
+                assert row == [stirling_explicit_mod2(n, k, bits).value for k in ks]
+
+    @pytest.mark.parametrize("width", [1, 2, 17, 130])
+    def test_composed_bands_match_the_recurrence(self, width):
+        # composed at this width, and widened to it from about half of it, where
+        # only the new columns are composed
+        for lane, _ in LANES:
+            reference = recurrence_bands(lane, width, 1 << 7)
+            fresh, widened = engine._JumpBands(lane), engine._JumpBands(lane)
+            widened.get(width // 2 + 1, 1 << 7)
+            for cache in (fresh, widened):
+                bands = cache.get(width, 1 << 7)
+                assert len(bands) == 8
+                for e, (band, ref) in enumerate(zip(bands, reference)):
+                    rows = min(1 << e, width - 1) + 1
+                    assert band.dtype == np.dtype(lane) and band.shape == (rows, width)
+                    assert (band == ref[:rows]).all() and not ref[rows:].any()
+            assert fresh._width == widened._width == width
 
     def test_narrow_after_wide_and_wide_after_narrow(self, monkeypatch):
         # each sequence starts from an empty band cache of its lane; the process-wide ones are restored after
@@ -204,32 +273,52 @@ class TestJumpKernel:
             monkeypatch.setitem(engine._BANDS, lane, engine._JumpBands(lane))
             for k_max in widths:
                 assert stirling_rows_mod2(ns, k_max, bits) == exact_rows(ns, k_max, bits)
+                assert_within_caps(engine._BANDS[lane])
 
     def test_jump_depth_fits_the_cap(self):
         cap = engine.DEFAULT_ROW_CAP
-        assert engine._jump_depth(1) == engine._MAX_JUMP
-        full = cap // engine._band_rows(engine._MAX_JUMP)
-        assert engine._jump_depth(full) == engine._MAX_JUMP
-        assert engine._jump_depth(full + 1) == engine._MAX_JUMP // 2
-        for width in (1, full, full + 1, cap // 33 + 1, cap // 5 + 1, cap // 2):
-            depth = engine._jump_depth(width)
-            assert depth >= 1 and engine._band_rows(depth) * width <= cap
+        full = cap // (2 + 3 + 5 + 9 + 17)  # the widest row with the five bands of 1 to 16 steps
+        assert engine._jump_count(full, 64) == engine._SHORT_JUMPS
+        assert engine._jump_count(full + 1, 64) == engine._SHORT_JUMPS - 1
+        assert engine._jump_count(4096, 64) == engine._SHORT_JUMPS  # the scan's rows: jumps of 16
+        assert engine._jump_count(65, 64) > 32  # a narrow row: jumps past 2**32 steps
+        for width in (1, 2, 17, 65, 257, 360, 4096, full, full + 1, cap // 33 + 1, cap // 5 + 1, cap // 2):
+            count = engine._jump_count(width, 64)
+            sizes = band_sizes(count + 1, width)
+            assert count >= 1 and sum(sizes[: min(count, engine._SHORT_JUMPS)]) <= cap
+            if count > engine._SHORT_JUMPS:
+                assert max(sizes[engine._SHORT_JUMPS : count]) <= LONG_BAND_CAP
+                assert sum(sizes[:count]) <= engine._LANE_BAND_CAP
+            # the next band would break a cap
+            if count < engine._SHORT_JUMPS:
+                assert sum(sizes) > cap
+            elif count < 64:
+                assert sum(sizes) > engine._LANE_BAND_CAP
+            # a request's largest gap bounds the bands: jumps of 1 and 2 steps for a gap of 3
+            assert engine._jump_count(width, (3).bit_length()) == min(count, 2)
 
     def test_wide_row_keeps_the_band_cache_under_the_cap(self, monkeypatch):
-        # a few steps at a width too wide for the longest jump, in each lane's own cache and dtype
+        # a row too wide for the 16-step jump, then a narrow row, then one as
+        # wide as the scan's, in each lane's own cache and dtype
         width = engine.DEFAULT_ROW_CAP // 33 + 1
         for lane, bits in LANES:
             bands = engine._JumpBands(lane)
             monkeypatch.setitem(engine._BANDS, lane, bands)
-            rows = stirling_rows_mod2((3, 5), width - 1, bits)
-            assert sum(band.size for band in bands._bands) <= engine.DEFAULT_ROW_CAP
-            assert len(bands._bands) < engine._MAX_JUMP.bit_length()
+            rows = stirling_rows_mod2((3, 5, 40), width - 1, bits)
+            assert_within_caps(bands)
+            assert len(bands._bands) == engine._SHORT_JUMPS - 1  # jumps of at most 8 steps
             assert {band.dtype for band in bands._bands} == {np.dtype(lane)}
-            assert rows == {n: exact_rows((n,), n, bits)[n] + [0] * (width - 1 - n) for n in (3, 5)}
-            # a narrow call after it gets the full depth again, without the wide width
-            assert stirling_rows_mod2((70,), 40, bits) == exact_rows((70,), 40, bits)
-            assert len(bands._bands) == engine._MAX_JUMP.bit_length()
-            assert bands._width == 41
+            assert rows == {n: exact_rows((n,), n, bits)[n] + [0] * (width - 1 - n) for n in (3, 5, 40)}
+            # a narrow call after it gets deep bands at its own width
+            n = 5000
+            assert stirling_rows_mod2((n,), 40, bits) == reference_rows((n,), 40, bits)
+            assert bands._width == 41 and len(bands._bands) == n.bit_length()
+            assert_within_caps(bands)
+            # as wide as the scan's rows: jumps of exactly 16 steps, however long the gap
+            rows = stirling_rows_mod2((3, 300), 4095, bits, {3: [0, 3], 300: [1, 299, 300, 4095]})
+            assert rows == {3: [0, 1], 300: [1, math.comb(300, 2) % 2**bits, 1, 0]}
+            assert bands._width == 4096 and len(bands._bands) == engine._SHORT_JUMPS
+            assert_within_caps(bands)
 
 
 class TestExplicitEngine:
