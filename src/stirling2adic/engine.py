@@ -18,7 +18,8 @@ band caps allow: s steps of the recurrence are one banded matrix, so a jump
 is one numpy product of a cached coefficient band with the shifted copies of
 the row and one sum over the band.  The band of 2s steps is the band of s
 composed with itself, so a narrow row N steps long takes O(log N) numpy
-passes.
+passes, unless the bands cached for a wider row earlier in the process
+cut its jumps shorter (see _JumpBands).
 """
 
 from __future__ import annotations
@@ -154,10 +155,12 @@ class _JumpBands:
     The cache keeps the exact width of the widest request since it was
     last rebuilt.  A narrower request slices the cached bands; a wider one
     widens them in place, composing only their new columns.  The bands are
-    rebuilt at a narrower width only when the cached width allows no jump
-    past 16 steps and the request's own width does; rebuilding whenever a
-    narrower width fits one more band would rebuild on every other query
-    of a stream of single queries of mixed widths.
+    rebuilt at a narrower width only when it fits a band of up to 32 steps
+    that the cached width does not.  Otherwise a narrow row gets the jumps
+    of the cached width: after a row 1,000 wide, one 65 wide jumps by at
+    most 32 steps, although its own width allows 2**34.  Rebuilding
+    whenever a narrower width fits one more band would rebuild on every
+    other query of a stream of single queries of mixed widths.
     """
 
     def __init__(self, lane: type[np.unsignedinteger]) -> None:
@@ -187,8 +190,11 @@ class _JumpBands:
     def get(self, width: int, gap: int) -> list[np.ndarray]:
         """Bands of the jumps 2**e <= gap, e = 0, 1, ..., as many as fit, sliced to width columns."""
         want = gap.bit_length()
-        if _jump_count(self._width, want) <= _SHORT_JUMPS < _jump_count(width, want):
-            # no jump past 16 steps at the cached width, but at this one: start afresh at it
+        # only the bands of up to 32 steps are compared: deeper bands at a narrower width
+        # are not worth a rebuild
+        cached, own = (min(_jump_count(w, want), _SHORT_JUMPS + 1) for w in (self._width, width))
+        if cached < own:
+            # start afresh at this width
             self._width, self._bands = 0, []
         lo = self._width
         if width > lo:

@@ -298,8 +298,8 @@ class TestJumpKernel:
             assert engine._jump_count(width, (3).bit_length()) == min(count, 2)
 
     def test_wide_row_keeps_the_band_cache_under_the_cap(self, monkeypatch):
-        # a row too wide for the 16-step jump, then a narrow row, then one as
-        # wide as the scan's, in each lane's own cache and dtype
+        # a row too wide for the 16-step jump, then narrow rows, then one as
+        # wide as the scan's, then a narrow row again, in each lane's own cache and dtype
         width = engine.DEFAULT_ROW_CAP // 33 + 1
         for lane, bits in LANES:
             bands = engine._JumpBands(lane)
@@ -309,16 +309,27 @@ class TestJumpKernel:
             assert len(bands._bands) == engine._SHORT_JUMPS - 1  # jumps of at most 8 steps
             assert {band.dtype for band in bands._bands} == {np.dtype(lane)}
             assert rows == {n: exact_rows((n,), n, bits)[n] + [0] * (width - 1 - n) for n in (3, 5, 40)}
-            # a narrow call after it gets deep bands at its own width
+            # a narrow call after it gets the 16-step band at its own width
+            assert stirling_rows_mod2((20,), 40, bits) == reference_rows((20,), 40, bits)
+            assert bands._width == 41 and len(bands._bands) == engine._SHORT_JUMPS
+            assert_within_caps(bands)
+            # and deep bands, when its gap asks for them
             n = 5000
-            assert stirling_rows_mod2((n,), 40, bits) == reference_rows((n,), 40, bits)
+            deep = reference_rows((n,), 40, bits)
+            assert stirling_rows_mod2((n,), 40, bits) == deep
             assert bands._width == 41 and len(bands._bands) == n.bit_length()
             assert_within_caps(bands)
+            # a narrower row that fits no band of up to 32 steps more slices the cached bands
+            assert stirling_rows_mod2((n,), 29, bits, {n: range(30)}) == {n: deep[n][:30]}
+            assert bands._width == 41 and len(bands._bands) == n.bit_length()
             # as wide as the scan's rows: jumps of exactly 16 steps, however long the gap
             rows = stirling_rows_mod2((3, 300), 4095, bits, {3: [0, 3], 300: [1, 299, 300, 4095]})
             assert rows == {3: [0, 1], 300: [1, math.comb(300, 2) % 2**bits, 1, 0]}
             assert bands._width == 4096 and len(bands._bands) == engine._SHORT_JUMPS
             assert_within_caps(bands)
+            # a narrow row after it gets deep bands at its own width again
+            assert stirling_rows_mod2((n,), 40, bits) == deep
+            assert bands._width == 41 and len(bands._bands) == n.bit_length()
 
 
 class TestExplicitEngine:
