@@ -2,8 +2,10 @@
 
 The SHA-256 of the JSON and CSV report of every default sweep, of the
 scanner at n = 2..8 with the default pairs, and of cross-validation at its
-defaults and at the wide tier (96 and 128 bits, above the uint64 rows).  Any refactor of the engines or of the sweep plumbing must leave
-these bytes unchanged; a deliberate change of a report is a change of these
+defaults, at the wide tier (96 and 128 bits, above the uint64 rows) and at
+a grid past k = 64 and 128 bits (1, 65 and 200 bits, k <= 100).  Any
+refactor of the engines or of the sweep plumbing must leave these bytes
+unchanged; a deliberate change of a report is a change of these
 pins and says so.
 """
 
@@ -84,6 +86,11 @@ XVAL_WIDE_SHA256 = (
     "fc4ad4ecdbe06e255dfa689a5352797ee42ff740db87e729f64f7febfaafd5a6",
 )
 
+XVAL_DEEP_SHA256 = (
+    "02d6b59127aaf180a972db7019e16fcddbe77048f0ab5f0492da2f5764665545",
+    "904b24320f0ddc2f9bf6936337744fade220087a9e1d8fe3604842e331649768",
+)
+
 
 def digests(report) -> tuple[str, str]:
     return tuple(
@@ -110,3 +117,8 @@ def test_cross_validate():
 
 def test_cross_validate_wide():
     assert digests(cross_validate(n_max=400, k_max=64, bits_list=(96, 128))) == XVAL_WIDE_SHA256
+
+
+def test_cross_validate_deep():
+    report = cross_validate(n_max=200, k_max=100, bits_list=(1, 65, 200))
+    assert digests(report) == XVAL_DEEP_SHA256
