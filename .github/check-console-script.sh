@@ -17,3 +17,5 @@ check() {
 
 check 0 'nu2(S(1000000,64)) = 0' val 1000000 64
 check 2 'nu2(S(40,8) - S(8,8)) = 6' diff 5 1 3 8  # the pinned A05 cell: the formula fails here
+# every cell confirmed: the explicit rows' object-array route agrees with the other engines
+check 0 'bits,n,k_max,first_mismatch,source,claim_kind,claim_value,observed_kind,observed_value,verdict' cross-validate --n-max 120 --k-max 40 --bits 8,65 --format csv

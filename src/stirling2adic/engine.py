@@ -20,6 +20,11 @@ the row and one sum over the band.  The band of 2s steps is the band of s
 composed with itself, so a narrow row N steps long takes O(log N) numpy
 passes, unless the bands cached for a wider row earlier in the process
 cut its jumps shorter (see _JumpBands).
+
+The explicit route evaluates the sum for one cell, and for whole rows reads
+k! S(n, k) off the forward-difference table of 0**n, 1**n, ..., k**n, in
+numpy object arrays over blocks of consecutive rows of at most
+_EXPLICIT_BLOCK_BITS bits of residues (see stirling_explicit_rows_mod2).
 """
 
 from __future__ import annotations
@@ -59,7 +64,8 @@ DEFAULT_EXACT_CAP = 2000
 DEFAULT_ROW_CAP = 1 << 22  # entries of a lane's jump bands of 1 to 16 steps; a row gets at most half
 _SHORT_JUMPS = 5  # the bands of 1, 2, 4, 8 and 16 steps, which share DEFAULT_ROW_CAP
 _LANE_BAND_CAP = 1 << 17  # entries of a lane's bands together once it holds one of more than 16 steps
-_PASCAL_CAP = 1 << 19  # entries of the explicit rows' binomial triangle: k_max <= 1022, tens of MB
+_EXPLICIT_K_CAP = 1022  # widest explicit row: its working residues carry up to nu2(1022!) = 1013 extra bits
+_EXPLICIT_BLOCK_BITS = 1 << 20  # bits of working residues in one block of explicit rows
 
 Query = tuple[int, int | None, int]  # (n1, n2, k): nu2(S(n1, k)), or of S(n1, k) - S(n2, k)
 
@@ -422,30 +428,58 @@ def stirling_explicit_mod2(n: int, k: int, bits: int) -> Residue:
 
 
 def stirling_explicit_rows_mod2(n_max: int, k_max: int, bits: int) -> Iterator[list[int]]:
-    """Rows S(n, 0..k_max) mod 2**bits for n = 0..n_max via the explicit alternating binomial sum.
+    """Rows S(n, 0..k_max) mod 2**bits for n = 0..n_max via the explicit formula.
 
-    The Pascal rows C(k, .), k <= k_max, are built once, at the working
-    modulus of _signed_powers, and each row's signed powers (-1)**j j**n come
-    from the previous row's with one multiply per j.  The triangle is capped
-    at _PASCAL_CAP entries before any work.
+    k! S(n, k) is the k-th forward difference of x**n at x = 0, so an
+    explicit row is the first column of the difference table of
+    0**n, 1**n, ..., k_max**n.  The table is kept for a block of consecutive
+    rows at once, in one numpy object array of Python integers, at the
+    working modulus 2**(bits + nu2(k_max!)) of the single-cell form, which
+    keeps enough bits for the exact division by every k!.  Each difference
+    level is one array operation, and so are the checked division by
+    2**nu2(k!), the multiply by the inverse of the odd part of k! and the
+    mask to bits.  A block holds at most _EXPLICIT_BLOCK_BITS bits of
+    working residues, and at least one row.  No recurrence, exact triangle
+    or binomial is used.  Inputs are checked at the call, before the first
+    row is asked for; k_max is capped at _EXPLICIT_K_CAP.
     """
-    if (k_max + 1) * (k_max + 2) // 2 > _PASCAL_CAP:
-        raise ResourceCapError(f"Pascal triangle to k = {k_max} exceeds {_PASCAL_CAP} entries")
-    if n_max < 0:
-        raise DomainError(f"need n_max >= 0, got {n_max}")
-    powers, mod = _signed_powers(0, k_max, bits)
-    mask = mod - 1
-    pascal = [[1]]
-    for _ in range(k_max):
-        prev = pascal[-1]
-        pascal.append([(x + y) & mask for x, y in zip([0] + prev, prev + [0])])
+    if k_max > _EXPLICIT_K_CAP:
+        raise ResourceCapError(f"explicit rows capped at k_max <= {_EXPLICIT_K_CAP}, got {k_max}")
+    if n_max < 0 or k_max < 0:
+        raise DomainError(f"need n_max, k_max >= 0, got n_max={n_max}, k_max={k_max}")
+    if bits < 1:
+        raise DomainError(f"need bits >= 1, got {bits}")
+    width = k_max + 1
+    working = bits + k_max - s2(k_max)
+    mask = (1 << working) - 1
+    height = max(1, _EXPLICIT_BLOCK_BITS // (width * working))
+    ks = range(width)
+    shift = np.array([k - s2(k) for k in ks], dtype=object)  # nu2(k!)
+    low = np.array([(1 << v) - 1 for v in shift], dtype=object)
+    inverse = np.array([_odd_factorial_inverse(k, bits) for k in ks], dtype=object)
+    base = np.array(ks, dtype=object)
 
-    def rows(powers: list[int]) -> Iterator[list[int]]:
-        for n in range(n_max + 1):
-            yield [_explicit_sum(n, k, bits, pascal[k], powers, mod) for k in range(k_max + 1)]
-            powers = [p * j & mask for j, p in enumerate(powers)]
+    def rows() -> Iterator[list[int]]:
+        for n0 in range(0, n_max + 1, height):
+            count = min(height, n_max + 1 - n0)
+            table = np.empty((count, width), dtype=object)
+            table[0] = [pow(j, n0, 1 << working) for j in ks]
+            for i in range(1, count):
+                table[i] = table[i - 1] * base & mask
+            first = np.empty((count, width), dtype=object)
+            for k in ks:
+                first[:, k] = table[:, 0]
+                table = table[:, 1:] - table[:, :-1]
+            first &= mask
+            bad = np.nonzero(first & low)
+            if len(bad[0]):
+                n, k = n0 + int(bad[0][0]), int(bad[1][0])
+                raise RuntimeError(
+                    f"internal error: explicit sum for S({n},{k}) not divisible by 2**{shift[k]}"
+                )
+            yield from ((first >> shift) * inverse & ((1 << bits) - 1)).tolist()
 
-    return rows(powers)
+    return rows()
 
 
 # ---------------------------------------------------------------------------

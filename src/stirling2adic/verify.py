@@ -773,21 +773,25 @@ def cross_validate(
     One record per (bits, n) covering every k <= min(n, k_max); a record is
     violated iff any k disagrees (the first offending k is echoed).  Each
     precision makes one recurrence pass and one explicit row sequence over
-    n <= n_max.
+    n <= n_max.  Inputs past the exact engine's cap, the explicit rows' cap
+    on k_max, or below 1 bit are refused before any work.
     """
     _one_process(workers)
     if n_max < 0 or k_max < 0:
         raise DomainError("need n_max, k_max >= 0")
+    if n_max > DEFAULT_EXACT_CAP:
+        raise ResourceCapError(f"exact engine capped at n <= {DEFAULT_EXACT_CAP}, got n_max={n_max}")
     bits_values = sorted(set(int(b) for b in bits_list))
     start = time.perf_counter()
+    # the explicit rows check k_max and bits at the call, before their first row
+    explicit = {bits: stirling_explicit_rows_mod2(n_max, k_max, bits) for bits in bits_values}
     # warm the shared exact triangle once
-    stirling_exact(min(n_max, DEFAULT_EXACT_CAP), min(n_max, k_max))
+    stirling_exact(n_max, min(n_max, k_max))
     records = []
     for bits in bits_values:
         rows = stirling_rows_mod2(range(n_max + 1), k_max, bits)
-        explicit = stirling_explicit_rows_mod2(n_max, k_max, bits)
         mask = (1 << bits) - 1
-        for n, explicit_row in enumerate(explicit):
+        for n, explicit_row in enumerate(explicit[bits]):
             top = min(n, k_max)
             first_bad: int | None = None
             for k in range(top + 1):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import time
 
 import pytest
 
@@ -266,6 +267,21 @@ class TestOtherCommands:
         )
         assert code == 0
         assert "confirmed: 52" in out
+
+    @pytest.mark.parametrize(
+        "n_max, k_max, bits, code",
+        [
+            ("2001", "64", "8", 70),  # past the exact engine's cap
+            ("2000", "1023", "8", 70),  # past the explicit rows' cap
+            ("400", "64", "8,0", 64),
+            ("400", "64", "-3", 64),
+        ],
+    )
+    def test_cross_validate_refuses_before_any_work(self, capsys, n_max, k_max, bits, code):
+        start = time.perf_counter()
+        args = ("cross-validate", "--n-max", n_max, "--k-max", k_max, "--bits", bits)
+        assert run_cli(capsys, *args)[:2] == (code, "")
+        assert time.perf_counter() - start < 0.1
 
     def test_j_set(self, capsys):
         code, out, _ = run_cli(capsys, "j-set", "2", "3", "--enumerate")

@@ -370,6 +370,68 @@ class TestExplicitEngine:
             stirling_explicit_rows_mod2(10, 1023, 8)
         assert next(stirling_explicit_rows_mod2(0, 1022, 8)) == [1] + [0] * 1022
 
+    @staticmethod
+    def block_height(k_max, bits):
+        # rows in one block of the difference table: its residues carry nu2(k_max!) extra bits
+        working = bits + nu2_int(math.factorial(k_max))
+        return max(1, engine._EXPLICIT_BLOCK_BITS // ((k_max + 1) * working))
+
+    @pytest.mark.parametrize("bits", [1, 65, 200])
+    def test_rows_against_single_cell_and_exact(self, bits):
+        n_max, k_max = 110, 100
+        assert self.block_height(k_max, bits) <= n_max  # the rows cross a block boundary
+        rows = list(stirling_explicit_rows_mod2(n_max, k_max, bits))
+        assert len(rows) == n_max + 1
+        for n, row in enumerate(rows):
+            assert row == [stirling_exact(n, k) % 2**bits for k in range(k_max + 1)]
+            # past k = n + 2 both are 0, as the exact row shows
+            top = min(n + 2, k_max)
+            assert row[: top + 1] == [stirling_explicit_mod2(n, k, bits).value for k in range(top + 1)]
+
+    def test_block_boundaries(self, monkeypatch):
+        k_max, bits = 20, 65
+        expected = list(stirling_explicit_rows_mod2(12, k_max, bits))
+        one_row = (k_max + 1) * (bits + nu2_int(math.factorial(k_max)))
+        for height in (1, 2, 3, 5):
+            monkeypatch.setattr(engine, "_EXPLICIT_BLOCK_BITS", height * one_row)
+            assert self.block_height(k_max, bits) == height
+            for n_max in range(13):
+                assert list(stirling_explicit_rows_mod2(n_max, k_max, bits)) == expected[: n_max + 1]
+
+    @pytest.mark.parametrize("bits", [1, 65, 200])
+    def test_one_row_blocks_at_the_widest_k(self, bits):
+        assert self.block_height(1022, bits) == 1
+        rows = list(stirling_explicit_rows_mod2(3, 1022, bits))
+        assert rows == [[stirling_exact(n, k) % 2**bits for k in range(1023)] for n in range(4)]
+
+    @pytest.mark.parametrize("bits", [1, 65, 200])
+    def test_edges(self, bits):
+        exact = lambda n_max, k_max: [  # noqa: E731
+            [stirling_exact(n, k) % 2**bits for k in range(k_max + 1)] for n in range(n_max + 1)
+        ]
+        assert list(stirling_explicit_rows_mod2(0, 0, bits)) == [[1]]
+        assert list(stirling_explicit_rows_mod2(0, 9, bits)) == [[1] + [0] * 9]
+        assert list(stirling_explicit_rows_mod2(7, 0, bits)) == [[1]] + [[0]] * 7
+        for n_max, k_max in ((3, 10), (9, 10), (10, 10), (11, 10)):
+            assert list(stirling_explicit_rows_mod2(n_max, k_max, bits)) == exact(n_max, k_max)
+
+    def test_rows_use_no_other_route(self, monkeypatch):
+        expected = [[stirling_exact(n, k) % 2**96 for k in range(41)] for n in range(51)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the explicit rows reached another route")
+
+        for name in ("stirling_rows_mod2", "_rows_numpy", "_rows_python", "stirling_exact"):
+            monkeypatch.setattr(engine, name, refuse)
+        assert list(stirling_explicit_rows_mod2(50, 40, 96)) == expected
+
+    def test_division_by_k_factorial_is_checked(self, monkeypatch):
+        # with s2 = 0 the rows would divide k! S(n, k) by 2**k, which 1! S(1, 1) = 1 is not
+        monkeypatch.setattr(engine, "s2", lambda k: 0)
+        monkeypatch.setattr(engine, "_odd_factorial_inverse", lambda k, bits: 1)
+        with pytest.raises(RuntimeError, match=r"S\(1,1\) not divisible by 2\*\*1"):
+            list(stirling_explicit_rows_mod2(4, 4, 8))
+
 
 class TestValStirling:
     def test_examples(self):

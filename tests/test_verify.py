@@ -425,6 +425,21 @@ class TestCrossValidate:
         assert report.exit_code == EXIT_OK
 
     @pytest.mark.parametrize(
+        "n_max, k_max, bits_list, error",
+        [
+            (2001, 64, (8,), ResourceCapError),  # past the exact engine's cap
+            (2000, 1023, (8,), ResourceCapError),  # past the explicit rows' cap
+            (400, 64, (8, 0), DomainError),
+            (400, 64, (-3,), DomainError),
+        ],
+    )
+    def test_refused_before_any_work(self, n_max, k_max, bits_list, error):
+        start = time.perf_counter()
+        with pytest.raises(error):
+            cross_validate(n_max=n_max, k_max=k_max, bits_list=bits_list)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize(
         "route", ["stirling_rows_mod2", "stirling_explicit_rows_mod2", "stirling_exact"]
     )
     def test_disagreement_is_reported(self, monkeypatch, route):
