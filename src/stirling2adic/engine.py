@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .base2 import Valuation, nu2_int, s2
 from .errors import DomainError, ResourceCapError
@@ -48,6 +47,7 @@ __all__ = [
     "DEFAULT_EXACT_CAP",
     "DEFAULT_ROW_CAP",
     "stirling_exact",
+    "stirling_exact_rows",
     "stirling_row_mod2",
     "stirling_rows_mod2",
     "stirling_mod2",
@@ -64,6 +64,7 @@ DEFAULT_EXACT_CAP = 2000
 DEFAULT_ROW_CAP = 1 << 22  # entries of a lane's jump bands of 1 to 16 steps; a row gets at most half
 _SHORT_JUMPS = 5  # the bands of 1, 2, 4, 8 and 16 steps, which share DEFAULT_ROW_CAP
 _LANE_BAND_CAP = 1 << 17  # entries of a lane's bands together once it holds one of more than 16 steps
+_WIDE_STEP_CAP = 1 << 27  # entry-steps max(ns) * (k_max + 1) of a pass above 64 bits, ~200 ns each
 _EXPLICIT_K_CAP = 1022  # widest explicit row: its working residues carry up to nu2(1022!) = 1013 extra bits
 _EXPLICIT_BLOCK_BITS = 1 << 20  # bits of working residues in one block of explicit rows
 
@@ -229,7 +230,11 @@ def _rows_numpy(want: dict[int, Sequence[int]], k_max: int, bits: int) -> dict[i
     pad = np.zeros(reach - 1 + width, dtype=lane)
     row = pad[reach - 1 :]
     row[0] = 1
-    shifted = sliding_window_view(pad, width)[::-1]  # shifted[i] = the row shifted right by i
+    # shifted[i] = the row shifted right by i: a read-only strided view of pad, built
+    # directly because sliding_window_view's checks cost about 10 times as much per pass
+    step = pad.itemsize
+    shifted = np.ndarray((reach, width), lane, pad, (reach - 1) * step, (-step, step))
+    shifted.flags.writeable = False
     prod = np.empty((reach, width), dtype=lane)
     out: dict[int, list[int]] = {}
     n = 0
@@ -278,7 +283,9 @@ def stirling_rows_mod2(
     whose band fits the caps of _jump_count; a jump longer than the row is
     wide costs about (k_max + 1)**2 products.  The row is capped at
     DEFAULT_ROW_CAP // 2 entries, so that even the band of a single step
-    (two entries per row entry) fits the cap.
+    (two entries per row entry) fits the cap.  Above 64 bits the pass steps
+    one row at a time on Python integers, so it is refused when it would take
+    more than _WIDE_STEP_CAP entry-steps, max(ns) * (k_max + 1).
     """
     targets = sorted(set(ns))
     if not targets:
@@ -291,6 +298,11 @@ def stirling_rows_mod2(
         raise DomainError(f"need bits >= 1, got {bits}")
     if 2 * (k_max + 1) > DEFAULT_ROW_CAP:
         raise ResourceCapError(f"row of {k_max + 1} entries exceeds cap {DEFAULT_ROW_CAP // 2}")
+    if bits > 64 and targets[-1] * (k_max + 1) > _WIDE_STEP_CAP:
+        raise ResourceCapError(
+            f"row pass above 64 bits of {targets[-1]} steps at width {k_max + 1} exceeds"
+            f" the cap of {_WIDE_STEP_CAP} entry-steps"
+        )
     if columns is None:
         want = {n: range(k_max + 1) for n in targets}
     else:
@@ -358,6 +370,10 @@ class _ExactTable:
         self.ensure(n, k)
         return self._rows[n][k]
 
+    def rows(self, n_max: int, k_max: int) -> list[list[int]]:
+        self.ensure(n_max, min(n_max, k_max))
+        return [row[: min(n, k_max) + 1] for n, row in enumerate(self._rows[: n_max + 1])]
+
 
 _EXACT = _ExactTable()
 
@@ -374,6 +390,19 @@ def stirling_exact(n: int, k: int, cap: int = DEFAULT_EXACT_CAP) -> int:
     if k > n:
         return 0
     return _EXACT.value(n, k)
+
+
+def stirling_exact_rows(n_max: int, k_max: int) -> list[list[int]]:
+    """Exact rows S(n, 0..min(n, k_max)) for n = 0..n_max, as new lists.
+
+    The rows are sliced off the shared triangle, grown once for the whole
+    block, so a caller reading many cells pays no per-cell call.
+    """
+    if n_max < 0 or k_max < 0:
+        raise DomainError(f"need n_max, k_max >= 0, got n_max={n_max}, k_max={k_max}")
+    if n_max > DEFAULT_EXACT_CAP:
+        raise ResourceCapError(f"exact engine capped at n <= {DEFAULT_EXACT_CAP}, got {n_max}")
+    return _EXACT.rows(n_max, k_max)
 
 
 # ---------------------------------------------------------------------------
@@ -501,28 +530,42 @@ def valuations(queries: Iterable[Query], policy: PrecisionPolicy) -> dict[Query,
     and a nonzero residue mod 2**32 certifies nu2 < 32, the value the first
     rung would certify.  Only the queries it leaves at zero climb the
     policy's own rungs.
+
+    Per query a rung costs a few builtin operations: the queries are
+    deduplicated once, each rung groups the pending entries into one sorted
+    column list per row and reads each row's residues through one dict, and
+    every query certified at the same value shares one Valuation.
     """
     out: dict[Query, Valuation] = {}
-    pending = set(queries)
+    finite: dict[int, Valuation] = {}  # one shared Valuation per certified value
+    pending = list(dict.fromkeys(queries))
     first_pass = (32,) if 32 < policy.initial_bits <= 64 else ()
     for bits in (*first_pass, *policy.ladder()):
         if not pending:
             break
-        entries = sorted({(n, k) for n1, n2, k in pending for n in (n1, n2) if n is not None})
-        columns: dict[int, list[int]] = defaultdict(list)
-        for n, k in entries:
-            columns[n].append(k)
-        rows = stirling_rows_mod2(columns.keys(), max(k for *_, k in pending), bits, columns)
-        value = {(n, k): r for n, ks in columns.items() for k, r in zip(ks, rows[n])}
+        wanted: dict[int, set[int]] = defaultdict(set)
+        for n1, n2, k in pending:
+            wanted[n1].add(k)
+            if n2 is not None:
+                wanted[n2].add(k)
+        columns = {n: sorted(ks) for n, ks in wanted.items()}
+        k_max = max(ks[-1] for ks in columns.values())
+        rows = stirling_rows_mod2(columns.keys(), k_max, bits, columns)
+        value = {n: dict(zip(ks, rows[n])) for n, ks in columns.items()}
         mask = (1 << bits) - 1
-        for query in list(pending):
+        left = []
+        for query in pending:
             n1, n2, k = query
-            r = value[n1, k] if n2 is None else (value[n1, k] - value[n2, k]) & mask
+            r = value[n1][k] if n2 is None else (value[n1][k] - value[n2][k]) & mask
             if r:
-                out[query] = Valuation.finite(nu2_int(r))
-                pending.discard(query)
-    for query in pending:
-        out[query] = Valuation.at_least(policy.max_bits)
+                v = (r & -r).bit_length() - 1  # nu2_int(r), inline
+                out[query] = finite.get(v) or finite.setdefault(v, Valuation.finite(v))
+            else:
+                left.append(query)
+        pending = left
+    if pending:
+        at_least = Valuation.at_least(policy.max_bits)
+        out.update(dict.fromkeys(pending, at_least))
     return out
 
 

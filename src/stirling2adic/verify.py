@@ -15,7 +15,9 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
 from typing import Callable, Collection, Iterable, Iterator
 
 from ._version import __version__
@@ -27,6 +29,7 @@ from .engine import (
     check_convolution,
     check_symmetric_identity,
     stirling_exact,
+    stirling_exact_rows,
     stirling_explicit_rows_mod2,
     stirling_row_mod2,  # unused here; kept for callers that look it up in this module
     stirling_rows_mod2,
@@ -496,26 +499,75 @@ def _json_scalar(value: object) -> str:
     )
 
 
-def _json_record(rec: CellRecord) -> str:
-    """One record of SweepReport.to_json, at the records list's indent."""
-    if rec.params:
+_FIELDS = ("source", "claim_kind", "claim_value", "observed_kind", "observed_value", "verdict")
+_CHUNK = 512  # records converted at a time, so that their columns stay small
+
+
+def _chunks(records: list[CellRecord]) -> Iterator[list[CellRecord]]:
+    return (records[i : i + _CHUNK] for i in range(0, len(records), _CHUNK))
+
+
+def _field_columns(records: list[CellRecord]) -> list[list]:
+    return [list(map(attrgetter(name), records)) for name in _FIELDS]
+
+
+def _column(values: list, convert: Callable[[object], str], by_type: dict) -> Iterable[str]:
+    """convert(value) for each value.
+
+    When every value has one exact type that by_type maps to a converter,
+    that converter runs once per distinct value and the column is one builtin
+    map over the table of results.
+    """
+    types = set(map(type, values))
+    fast = by_type.get(types.pop()) if len(types) == 1 else None
+    if fast is None:
+        return map(convert, values)
+    distinct = set(values)
+    return map(dict(zip(distinct, map(fast, distinct))).__getitem__, values)
+
+
+_JSON_BY_TYPE = {int: int.__repr__, str: encode_basestring_ascii}
+_CSV_BY_TYPE = {int: int.__repr__, str: str}
+
+
+def _csv_field(value: object) -> str:
+    return "" if value is None else str(value)
+
+
+def _json_template(keys: tuple) -> str:
+    """%-template of one record of SweepReport.to_json whose params have these keys,
+    at the records list's indent: one %s per param value, then one per field."""
+    if keys:
+        # a key that is not a str raises TypeError here, as json.dumps would for the record
         params = ",\n        ".join(
-            f"{encode_basestring_ascii(key)}: {_json_scalar(value)}"
-            for key, value in rec.params.items()
+            encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
         )
         params = f"{{\n        {params}\n      }}"
     else:
         params = "{}"
-    return (
-        f'{{\n      "params": {params},\n'
-        f'      "source": {_json_scalar(rec.source)},\n'
-        f'      "claim_kind": {_json_scalar(rec.claim_kind)},\n'
-        f'      "claim_value": {_json_scalar(rec.claim_value)},\n'
-        f'      "observed_kind": {_json_scalar(rec.observed_kind)},\n'
-        f'      "observed_value": {_json_scalar(rec.observed_value)},\n'
-        f'      "verdict": {_json_scalar(rec.verdict)}\n'
-        "    }"
-    )
+    fields = ",\n".join(f'      "{name}": %s' for name in _FIELDS)
+    return f'{{\n      "params": {params},\n{fields}\n    }}'
+
+
+def _json_records(records: list[CellRecord]) -> Iterator[str]:
+    """The records of SweepReport.to_json, one string per chunk of records.
+
+    Within a chunk, each run of records with one params layout is converted
+    a column (a param, or a field) at a time by _column, and each record is
+    one %-format of its layout's template.
+    """
+    templates: dict[tuple, str] = {}
+    for chunk in _chunks(records):
+        out: list[str] = []
+        for keys, run in itertools.groupby(chunk, key=lambda rec: tuple(rec.params)):
+            if keys not in templates:
+                templates[keys] = _json_template(keys)
+            run = list(run)
+            params = list(map(attrgetter("params"), run))
+            columns = [list(map(itemgetter(key), params)) for key in keys] + _field_columns(run)
+            texts = [_column(values, _json_scalar, _JSON_BY_TYPE) for values in columns]
+            out.extend(map(templates[keys].__mod__, zip(*texts)))
+        yield ",\n    ".join(out)
 
 
 @dataclass
@@ -544,26 +596,17 @@ class SweepReport:
         return [rec for rec in self.records if rec.verdict == verdict]
 
     def to_csv(self) -> str:
-        head = list(self.columns) + [
-            "source",
-            "claim_kind",
-            "claim_value",
-            "observed_kind",
-            "observed_value",
-            "verdict",
-        ]
-        lines = [",".join(head)]
-        for rec in self.records:
-            cols = [str(rec.params.get(c, "")) for c in self.columns]
-            cols += [
-                rec.source,
-                rec.claim_kind,
-                "" if rec.claim_value is None else str(rec.claim_value),
-                rec.observed_kind,
-                "" if rec.observed_value is None else str(rec.observed_value),
-                rec.verdict,
+        """One line per record: its params at the report's columns ("" where a
+        record has none), then the six claim fields, None written as ""."""
+        lines = [",".join([*self.columns, *_FIELDS])]
+        for chunk in _chunks(self.records):
+            params = list(map(attrgetter("params"), chunk))
+            columns = [
+                _column(list(map(dict.get, params, repeat(c), repeat(""))), str, _CSV_BY_TYPE)
+                for c in self.columns
             ]
-            lines.append(",".join(cols))
+            columns += [_column(values, _csv_field, _CSV_BY_TYPE) for values in _field_columns(chunk)]
+            lines.append("\n".join(map(",".join, zip(*columns))))
         return "\n".join(lines) + "\n"
 
     def to_json(self, include_runtime: bool = False) -> str:
@@ -573,10 +616,10 @@ class SweepReport:
         "runtime".
 
         The header goes through json.dumps; the records are written from
-        their fixed layout, because json.dumps with an indent runs the
-        pure-Python encoder.  A record field or param value must be a str,
-        int, float, bool or None, and a param key a str: anything else
-        raises TypeError.
+        their fixed layout by _json_records, because json.dumps with an
+        indent runs the pure-Python encoder.  A record field or param value
+        must be a str, int, float, bool or None, and a param key a str:
+        anything else raises TypeError.
         """
         header = {
             "schema_version": SCHEMA_VERSION,
@@ -588,7 +631,7 @@ class SweepReport:
         # the header's own closing "\n}" comes after the records
         parts = [json.dumps(header, indent=2)[:-2], ',\n  "records": ']
         if self.records:
-            parts.append("[\n    " + ",\n    ".join(map(_json_record, self.records)) + "\n  ]")
+            parts.append("[\n    " + ",\n    ".join(_json_records(self.records)) + "\n  ]")
         else:
             parts.append("[]")
         if include_runtime:
@@ -773,8 +816,9 @@ def cross_validate(
     One record per (bits, n) covering every k <= min(n, k_max); a record is
     violated iff any k disagrees (the first offending k is echoed).  Each
     precision makes one recurrence pass and one explicit row sequence over
-    n <= n_max.  Inputs past the exact engine's cap, the explicit rows' cap
-    on k_max, or below 1 bit are refused before any work.
+    n <= n_max, compared row by row with the exact rows, which are read
+    once.  Inputs past the exact engine's cap, the explicit rows' cap on
+    k_max, or below 1 bit are refused before any work.
     """
     _one_process(workers)
     if n_max < 0 or k_max < 0:
@@ -785,20 +829,21 @@ def cross_validate(
     start = time.perf_counter()
     # the explicit rows check k_max and bits at the call, before their first row
     explicit = {bits: stirling_explicit_rows_mod2(n_max, k_max, bits) for bits in bits_values}
-    # warm the shared exact triangle once
-    stirling_exact(n_max, min(n_max, k_max))
+    exact = stirling_exact_rows(n_max, k_max)
     records = []
     for bits in bits_values:
         rows = stirling_rows_mod2(range(n_max + 1), k_max, bits)
         mask = (1 << bits) - 1
         for n, explicit_row in enumerate(explicit[bits]):
-            top = min(n, k_max)
+            expected = list(map(mask.__and__, exact[n]))
+            top = len(expected) - 1  # min(n, k_max)
             first_bad: int | None = None
-            for k in range(top + 1):
-                expected = stirling_exact(n, k) & mask
-                if rows[n][k] != expected or explicit_row[k] != expected:
-                    first_bad = k
-                    break
+            if rows[n][: top + 1] != expected or explicit_row[: top + 1] != expected:
+                first_bad = next(
+                    k
+                    for k, (e, r, x) in enumerate(zip(expected, rows[n], explicit_row))
+                    if r != e or x != e
+                )
             params = {
                 "bits": bits,
                 "n": n,

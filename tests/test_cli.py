@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +96,24 @@ class TestDiff:
         code, out, _ = run_cli(capsys, "diff", "2", "1", "2", "3")
         assert code == 3
         assert "conjecture-deviation" in out
+
+    def test_pass_above_64_bits_is_refused_at_once(self, capsys):
+        # the first rung, prediction + 32 bits, is past 64 bits: a pass of 3 * 2**33 rows is refused
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "diff", "3", "1", "33", "5")
+        assert time.perf_counter() - start < 0.1
+        assert (code, out) == (70, "")
+        assert "resource cap" in err
+
+    def test_pass_of_64_bits_is_not_capped(self):
+        # in a fresh process, as the console script runs it: jump bands cached for wider rows
+        # earlier in this process would cut the row's jumps to 64 steps or fewer, and its
+        # 3 * 2**32 steps would then take about 25 minutes
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        argv = [sys.executable, "-m", "stirling2adic.cli", "diff", "3", "1", "32", "5"]
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("nu2(S(12884901888,5) - S(4294967296,5)) = 32\n")
 
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "diff", "3", "1", "5", "7", "--format", "json")

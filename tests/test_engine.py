@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from stirling2adic.engine import (
     check_convolution,
     check_symmetric_identity,
     stirling_exact,
+    stirling_exact_rows,
     stirling_explicit_mod2,
     stirling_explicit_rows_mod2,
     stirling_mod2,
@@ -87,6 +89,21 @@ class TestExact:
             for k in range(0, n + 1):
                 assert stirling_exact(n, k) == stirling_reference(n, k)
 
+    def test_rows(self):
+        for n_max, k_max in ((0, 0), (12, 5), (30, 40)):
+            rows = stirling_exact_rows(n_max, k_max)
+            assert rows == [
+                [stirling_reference(n, k) for k in range(min(n, k_max) + 1)] for n in range(n_max + 1)
+            ]
+        rows[9][4] += 1  # the rows are the caller's own lists
+        assert stirling_exact_rows(12, 5)[9][4] == stirling_reference(9, 4)
+        with pytest.raises(ResourceCapError):
+            stirling_exact_rows(2001, 3)
+        with pytest.raises(DomainError):
+            stirling_exact_rows(-1, 3)
+        with pytest.raises(DomainError):
+            stirling_exact_rows(3, -1)
+
 
 class TestRowEngine:
     def test_examples(self):
@@ -120,6 +137,18 @@ class TestRowEngine:
         for bits in (8, 96):
             with pytest.raises(ResourceCapError):
                 stirling_row_mod2(10, engine.DEFAULT_ROW_CAP // 2, bits)
+
+    def test_wide_pass_cap(self, monkeypatch):
+        # above 64 bits a pass steps one row at a time: max(ns) * (k_max + 1) is capped
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError, match="entry-steps"):
+            stirling_rows_mod2([3 << 33], 5, 96)
+        assert time.perf_counter() - start < 0.1
+        assert stirling_rows_mod2([3 << 33], 5, 64)  # the numpy lanes are not capped
+        monkeypatch.setattr(engine, "_WIDE_STEP_CAP", 60)
+        assert stirling_rows_mod2([5, 10], 5, 65) == exact_rows([5, 10], 5, 65)
+        with pytest.raises(ResourceCapError):
+            stirling_rows_mod2([5, 11], 5, 65)
 
     @pytest.mark.parametrize(
         "columns",

@@ -1,4 +1,6 @@
 import json
+import os
+import random
 import time
 
 import pytest
@@ -250,7 +252,89 @@ _report = st.builds(
 )
 
 
+def reference_csv(report: SweepReport) -> str:
+    """The CSV to_csv must give, written one record at a time."""
+    fields = ["source", "claim_kind", "claim_value", "observed_kind", "observed_value", "verdict"]
+    lines = [",".join([*report.columns, *fields])]
+    for rec in report.records:
+        cols = [str(rec.params.get(c, "")) for c in report.columns]
+        cols += [
+            rec.source,
+            rec.claim_kind,
+            "" if rec.claim_value is None else str(rec.claim_value),
+            rec.observed_kind,
+            "" if rec.observed_value is None else str(rec.observed_value),
+            rec.verdict,
+        ]
+        lines.append(",".join(cols))
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """got == want, failing with the first difference only: a diff of two reports
+    of thousands of records would cost more than the test."""
+    if got != want:
+        at = len(os.path.commonprefix([got, want]))
+        pytest.fail(
+            f"lengths {len(got)} and {len(want)}, first difference at {at}: "
+            f"{got[max(0, at - 60) : at + 60]!r} != {want[max(0, at - 60) : at + 60]!r}"
+        )
+
+
+# a column's values: one exact type, so that the writers take their per-type route, or mixed
+_pool = st.one_of(
+    st.lists(st.integers(), min_size=1, max_size=5),
+    st.lists(_text, min_size=1, max_size=5),
+    st.lists(_scalar, min_size=1, max_size=5),
+)
+
+
+# keys with % signs, which the JSON writer's %-templates must escape
+_key = _text | st.text(st.sampled_from("%sd()"), min_size=1)
+
+
+@st.composite
+def _big_report(draw) -> SweepReport:
+    """A report of hundreds to thousands of records, several writer chunks, whose
+    params follow 2 or 3 layouts, in long runs or interleaved.  Hypothesis draws
+    the layouts, the value pools and the run lengths; a seeded generator deals
+    the records from them."""
+    keys = draw(st.lists(_key, min_size=1, max_size=6, unique=True))
+    layouts = draw(
+        st.lists(
+            st.lists(st.sampled_from(keys), unique=True), min_size=2, max_size=3, unique_by=tuple
+        )
+    )
+    pools = {key: draw(_pool) for key in keys}
+    fields = {
+        name: draw(st.lists(_text, min_size=1, max_size=3))
+        for name in ("source", "claim_kind", "observed_kind")
+    }
+    fields.update({name: draw(_pool) for name in ("claim_value", "observed_value")})
+    count = draw(st.sampled_from([300, 700, 1500, 3000]))
+    longest_run = draw(st.sampled_from([1, 3, 600, 3000]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    records = []
+    while len(records) < count:
+        layout = rng.choice(layouts)
+        for _ in range(rng.randint(1, longest_run)):
+            records.append(
+                CellRecord(
+                    params={key: rng.choice(pools[key]) for key in layout},
+                    verdict=rng.choice(verify.VERDICT_ORDER),
+                    **{name: rng.choice(pool) for name, pool in fields.items()},
+                )
+            )
+    columns = tuple(draw(st.permutations(keys)) + draw(st.lists(_text, max_size=1)))
+    return SweepReport("t", {}, columns, records[:count], runtime_seconds=1.0)
+
+
 class TestJsonWriter:
+    @given(_big_report(), st.booleans())
+    @settings(deadline=None, max_examples=25)
+    def test_report_size_matches_json_dumps(self, report, include_runtime):
+        assert_same_text(report.to_json(include_runtime), reference_json(report, include_runtime))
+
     @given(_report, st.booleans())
     @settings(deadline=None)
     def test_matches_json_dumps(self, report, include_runtime):
@@ -287,6 +371,13 @@ class TestJsonWriter:
         record = CellRecord(params, "s", "k", None, "o", None, CONFIRMED)
         with pytest.raises(TypeError):
             SweepReport("t", {}, (), [record]).to_json()
+
+
+class TestCsvWriter:
+    @given(_big_report())
+    @settings(deadline=None, max_examples=25)
+    def test_report_size_matches_per_record(self, report):
+        assert_same_text(report.to_csv(), reference_csv(report))
 
 
 class TestIdentitySweeps:
@@ -440,7 +531,7 @@ class TestCrossValidate:
         assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize(
-        "route", ["stirling_rows_mod2", "stirling_explicit_rows_mod2", "stirling_exact"]
+        "route", ["stirling_rows_mod2", "stirling_explicit_rows_mod2", "stirling_exact_rows"]
     )
     def test_disagreement_is_reported(self, monkeypatch, route):
         bad_n, bad_k = 9, 4
@@ -457,13 +548,15 @@ class TestCrossValidate:
                     row[bad_k] ^= 1
                 yield row
 
-        def exact(n, k):
-            return original(n, k) + ((n, k) == (bad_n, bad_k))
+        def exact_rows(n_max, k_max):
+            out = original(n_max, k_max)
+            out[bad_n][bad_k] += 1
+            return out
 
         corrupted = {
             "stirling_rows_mod2": rows,
             "stirling_explicit_rows_mod2": explicit_rows,
-            "stirling_exact": exact,
+            "stirling_exact_rows": exact_rows,
         }[route]
         monkeypatch.setattr(verify, route, corrupted)
         report = cross_validate(n_max=12, k_max=6, bits_list=(8, 96))
