@@ -9,17 +9,17 @@ iterated row by row, and the explicit alternating binomial sum
 
     S(n, k) = (1/k!) * sum_{i=0..k} (-1)**i * C(k, i) * (k - i)**n.
 
-Modular rows are reduced mod 2**bits throughout.  For bits <= 64 the rows run
-in numpy lanes as narrow as the precision allows: uint32 up to 32 bits, uint64
-from 33 to 64 (wraparound mod 2**32 or 2**64 is exact for any smaller power of
-two); above that they run on Python integers with a mask.  The numpy rows
-advance by jumps of 2**e steps, e as large as the next wanted row and the
-band caps allow: s steps of the recurrence are one banded matrix, so a jump
-is one numpy product of a cached coefficient band with the shifted copies of
-the row and one sum over the band.  The band of 2s steps is the band of s
-composed with itself, so a narrow row N steps long takes O(log N) numpy
-passes, unless the bands cached for a wider row earlier in the process
-cut its jumps shorter (see _JumpBands).
+Modular rows are reduced mod 2**bits throughout, in numpy lanes as narrow as
+the precision allows: uint32 up to 32 bits, uint64 from 33 to 64 (wraparound
+mod 2**32 or 2**64 is exact for any smaller power of two), and Python
+integers (dtype object) masked to bits above that.  The rows advance by
+jumps of 2**e steps, e as large as the next wanted row and the band caps
+allow: s steps of the recurrence are one banded matrix, so a jump is one
+numpy product of a coefficient band with the shifted copies of the row and
+one sum over the band.  The band of 2s steps is the band of s composed with
+itself, so a narrow row N steps long takes O(log N) numpy passes.  Every
+pass plans its jumps from its inputs and is refused over _LANE_STEP_CAP
+lane-steps before any work (see stirling_rows_mod2).
 
 The explicit route evaluates the sum for one cell, and for whole rows reads
 k! S(n, k) off the forward-difference table of 0**n, 1**n, ..., k**n, in
@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .base2 import Valuation, nu2_int, s2
 from .errors import DomainError, ResourceCapError
@@ -64,7 +65,7 @@ DEFAULT_EXACT_CAP = 2000
 DEFAULT_ROW_CAP = 1 << 22  # entries of a lane's jump bands of 1 to 16 steps; a row gets at most half
 _SHORT_JUMPS = 5  # the bands of 1, 2, 4, 8 and 16 steps, which share DEFAULT_ROW_CAP
 _LANE_BAND_CAP = 1 << 17  # entries of a lane's bands together once it holds one of more than 16 steps
-_WIDE_STEP_CAP = 1 << 27  # entry-steps max(ns) * (k_max + 1) of a pass above 64 bits, ~200 ns each
+_LANE_STEP_CAP = 1 << 36  # lane-steps of one row pass (see _lane_steps); the scan at n = 16 takes 4.6e10
 _EXPLICIT_K_CAP = 1022  # widest explicit row: its working residues carry up to nu2(1022!) = 1013 extra bits
 _EXPLICIT_BLOCK_BITS = 1 << 20  # bits of working residues in one block of explicit rows
 
@@ -139,8 +140,10 @@ def _jump_count(width: int, want: int) -> int:
     return want
 
 
-class _JumpBands:
-    """Cached coefficient bands of the row recurrence's jumps in one lane dtype, grown on demand.
+def _band(
+    e: int, half: np.ndarray | None, width: int, dtype: type, old: np.ndarray | None = None
+) -> np.ndarray:
+    """The band of the jump 2**e at this width, in dtype, from half, the band of 2**(e-1) steps.
 
     s steps of the recurrence map a row to
 
@@ -148,26 +151,49 @@ class _JumpBands:
 
     h the complete homogeneous symmetric polynomial.  The band of the jump
     s = 2**e holds these coefficients, the one of row[j-i] at [i, j].  Only
-    i <= j can be nonzero, so the band keeps min(s, width - 1) + 1 rows, and
-    a jump longer than the row is wide costs about width**2 products.  The
+    i <= j can be nonzero, so the band keeps min(s, width - 1) + 1 rows.  The
     band of one step is the recurrence itself; that of 2s is the band of s
     composed with itself,
 
         c_2s[i, j] = sum_t c_s[t, j] * c_s[i-t, j-t],
 
-    in the lane's dtype, so the bands hold the coefficients mod 2**32 or
-    2**64.  Bands are built lazily, only up to the largest gap asked for and
-    as far as _jump_count allows; rows too wide for a band get shorter jumps.
+    which half must hold at this width.  With old, the same band at a
+    narrower width, its columns are kept and only the new ones computed.
+    """
+    band = np.zeros((min(1 << e, width - 1) + 1, width), dtype=dtype)
+    lo = 0
+    if old is not None:
+        lo = old.shape[1]
+        band[: old.shape[0], :lo] = old
+    if e == 0:
+        # one step: row'[j] = j * row[j] + row[j-1]
+        band[0, lo:] = np.arange(lo, width)
+        band[1:, max(lo, 1) :] = 1
+        return band
+    r = half.shape[0]
+    for t in range(r):
+        # c_s[t, j] * c_s[u, j-t] adds to c_2s[t+u, j]; t + u <= j < width, else it is 0
+        c, u = max(t, lo), min(r, band.shape[0] - t)
+        band[t : t + u, c:] += half[t, c:] * half[:u, c - t : width - t]
+    return band
 
-    The cache keeps the exact width of the widest request since it was
-    last rebuilt.  A narrower request slices the cached bands; a wider one
-    widens them in place, composing only their new columns.  The bands are
-    rebuilt at a narrower width only when it fits a band of up to 32 steps
-    that the cached width does not.  Otherwise a narrow row gets the jumps
-    of the cached width: after a row 1,000 wide, one 65 wide jumps by at
-    most 32 steps, although its own width allows 2**34.  Rebuilding
-    whenever a narrower width fits one more band would rebuild on every
-    other query of a stream of single queries of mixed widths.
+
+class _JumpBands:
+    """Cached bands (see _band) of one fixed-width lane dtype, grown on demand.
+
+    The bands are composed in the lane's dtype, so they hold the coefficients
+    mod 2**32 or 2**64.  The cache keeps the exact width of the widest
+    request since it was last rebuilt.  A narrower request slices the cached
+    bands; a wider one widens them in place, composing only their new
+    columns.  The bands are rebuilt at a narrower width only when it fits a
+    band of up to 32 steps that the cached width does not.  Otherwise a
+    narrow row gets the bands of the cached width, which may stop short of
+    its own: after a row 1,000 wide, one 65 wide gets jumps of at most 32
+    steps, although its own width allows 2**34.  _rows_numpy then composes
+    the row's deeper bands for its pass alone, when that is cheaper than
+    the shorter jumps.  Rebuilding whenever a narrower width fits one more
+    band would rebuild on every other query of a stream of single queries
+    of mixed widths.
     """
 
     def __init__(self, lane: type[np.unsignedinteger]) -> None:
@@ -177,95 +203,127 @@ class _JumpBands:
 
     def _grow(self, e: int, lo: int = 0) -> np.ndarray:
         """Band e at the cached width: columns below lo from the cached band e, the rest computed."""
-        width = self._width
-        band = np.zeros((min(1 << e, width - 1) + 1, width), dtype=self._lane)
-        if lo:
-            band[: self._bands[e].shape[0], :lo] = self._bands[e]
-        if e == 0:
-            # one step: row'[j] = j * row[j] + row[j-1]
-            band[0, lo:] = np.arange(lo, width)
-            band[1:, max(lo, 1) :] = 1
-            return band
-        half = self._bands[e - 1]
-        r = half.shape[0]
-        for t in range(r):
-            # c_s[t, j] * c_s[u, j-t] adds to c_2s[t+u, j]; t + u <= j < width, else it is 0
-            c, u = max(t, lo), min(r, band.shape[0] - t)
-            band[t : t + u, c:] += half[t, c:] * half[:u, c - t : width - t]
-        return band
+        half = self._bands[e - 1] if e else None
+        return _band(e, half, self._width, self._lane, self._bands[e] if lo else None)
 
-    def get(self, width: int, gap: int) -> list[np.ndarray]:
-        """Bands of the jumps 2**e <= gap, e = 0, 1, ..., as many as fit, sliced to width columns."""
-        want = gap.bit_length()
+    def get(self, width: int, count: int) -> list[np.ndarray]:
+        """Bands of the jumps 2**e, e < count, as many as fit the cached width, sliced to width columns.
+
+        All count bands must fit the caps at this width.
+        """
+        held = _jump_count(self._width, count)
         # only the bands of up to 32 steps are compared: deeper bands at a narrower width
         # are not worth a rebuild
-        cached, own = (min(_jump_count(w, want), _SHORT_JUMPS + 1) for w in (self._width, width))
-        if cached < own:
+        if min(held, _SHORT_JUMPS + 1) < min(count, _SHORT_JUMPS + 1):
             # start afresh at this width
             self._width, self._bands = 0, []
         lo = self._width
         if width > lo:
             # widen, in place, each band that still fits: only the new columns are computed
-            self._width = width
+            self._width, held = width, count
             del self._bands[_jump_count(width, len(self._bands)) :]
             for e in range(len(self._bands)):
                 self._bands[e] = self._grow(e, lo)
-        count = _jump_count(self._width, want)
-        while len(self._bands) < count:
+        while len(self._bands) < held:
             self._bands.append(self._grow(len(self._bands)))
-        return [band[: min(1 << e, width - 1) + 1, :width] for e, band in enumerate(self._bands[:count])]
+        return [band[: min(1 << e, width - 1) + 1, :width] for e, band in enumerate(self._bands[:held])]
 
 
 _BANDS = {lane: _JumpBands(lane) for lane in (np.uint32, np.uint64)}
 
 
-def _rows_numpy(want: dict[int, Sequence[int]], k_max: int, bits: int) -> dict[int, list[int]]:
-    # bits <= 64: the lane's wraparound is the working modulus, masked on capture
-    lane = np.uint32 if bits <= 32 else np.uint64
-    mask = lane((1 << bits) - 1)
+def _object_bands(width: int, count: int, bits: int) -> list[np.ndarray]:
+    """The bands of the jumps 1, 2, ..., 2**(count-1) in Python integers mod 2**bits, built afresh."""
+    mask = (1 << bits) - 1
+    bands: list[np.ndarray] = []
+    for e in range(count):
+        band = _band(e, bands[-1] if bands else None, width, object)
+        band &= mask
+        bands.append(band)
+    return bands
+
+
+def _lane_steps(targets: list[int], width: int, count: int, bits: int) -> int:
+    """Lane-steps of a pass from row 0 through the sorted targets with count bands at this width.
+
+    A jump of 2**e steps reads the min(2**e, width - 1) + 1 rows of its
+    band once, and each entry counts ceil(bits / 32) 32-bit words: 1 in the
+    uint32 lane, 2 in the uint64 lane.  A gap takes gap >> (count - 1) jumps
+    of the longest band and then one jump for each set bit of the remainder,
+    so the plan costs a few integer operations per row.
+    """
+    if not count:
+        return 0  # only row 0
+    top = count - 1
+    longest = (min(1 << top, width - 1) + 1) * width
+    short = (width - 1).bit_length()  # the bands with 2**e <= width - 1 have 2**e + 1 rows
+    entries = n = 0
+    for target in targets:
+        gap, n = target - n, target
+        rest = gap & ((1 << top) - 1)
+        low = rest & ((1 << short) - 1)
+        entries += (gap >> top) * longest + width * (
+            rest.bit_count() + low + (width - 1) * (rest >> short).bit_count()
+        )
+    return entries * -(-bits // 32)
+
+
+def _rows_numpy(
+    want: dict[int, Sequence[int]], k_max: int, bits: int, count: int
+) -> dict[int, list[int]]:
     width = k_max + 1
     targets = sorted(want)
-    bands = _BANDS[lane].get(width, max(b - a for a, b in zip([0, *targets], targets)))
+    mask = (1 << bits) - 1
+    if bits > 64:
+        # Python integers, masked once per jump: bands built for this pass at its own precision
+        lane: type = object
+        bands = _object_bands(width, count, bits)
+    else:
+        # the lane's wraparound is the working modulus, masked on capture
+        lane = np.uint32 if bits <= 32 else np.uint64
+        bands = _BANDS[lane].get(width, count)
+        mask = lane(mask)
+        held = len(bands)
+        if held < count:
+            # the bands cached for a wider row stop short of this row's own: compose the deeper
+            # ones for this pass alone when their products and jumps read fewer band entries
+            # than the shorter jumps of the cached ones
+            rows = [min(1 << e, width - 1) + 1 for e in range(count)]
+            build = width * sum(rows[e - 1] * rows[e] for e in range(held, count))
+            if _lane_steps(targets, width, held, 1) > build + _lane_steps(targets, width, count, 1):
+                for e in range(held, count):
+                    bands.append(_band(e, bands[-1], width, lane))
+        count = len(bands)
     reach = bands[-1].shape[0] if bands else 1  # the most shifts of the row a jump reads
     pad = np.zeros(reach - 1 + width, dtype=lane)
     row = pad[reach - 1 :]
     row[0] = 1
-    # shifted[i] = the row shifted right by i: a read-only strided view of pad, built
-    # directly because sliding_window_view's checks cost about 10 times as much per pass
+    # shifted[i] = the row shifted right by i: a read-only strided view of pad.  The fixed-width
+    # lanes build it directly, at a quarter of as_strided's cost per pass; numpy does not
+    # promise to view an object array's memory that way
     step = pad.itemsize
-    shifted = np.ndarray((reach, width), lane, pad, (reach - 1) * step, (-step, step))
-    shifted.flags.writeable = False
+    if lane is object:
+        shifted = as_strided(row, (reach, width), (-step, step), writeable=False)
+    else:
+        shifted = np.ndarray((reach, width), lane, pad, (reach - 1) * step, (-step, step))
+        shifted.flags.writeable = False
     prod = np.empty((reach, width), dtype=lane)
     out: dict[int, list[int]] = {}
     n = 0
     for target in targets:
         while n < target:
             # the longest jump 2**e that does not pass the target
-            e = min((target - n).bit_length(), len(bands)) - 1
+            e = min((target - n).bit_length(), count) - 1
             r = bands[e].shape[0]
             np.multiply(bands[e], shifted[:r], out=prod[:r])
             np.add.reduce(prod[:r], axis=0, dtype=lane, out=row)
+            if lane is object:
+                np.bitwise_and(row, mask, out=row)
             n += 1 << e
         ks = want[target]
         if isinstance(ks, range):  # numpy would convert it element by element
             ks = np.arange(ks.start, ks.stop, ks.step)
-        out[target] = (row[ks] & mask).tolist()
-    return out
-
-
-def _rows_python(want: dict[int, Sequence[int]], k_max: int, bits: int) -> dict[int, list[int]]:
-    mask = (1 << bits) - 1
-    row = [0] * (k_max + 1)
-    row[0] = 1
-    out: dict[int, list[int]] = {}
-    if 0 in want:
-        out[0] = [row[k] for k in want[0]]
-    for step in range(1, max(want) + 1):
-        for j in range(k_max, 0, -1):
-            row[j] = (row[j - 1] + j * row[j]) & mask
-        row[0] = 0
-        if step in want:
-            out[step] = [row[k] for k in want[step]]
+        out[target] = (row[ks] if lane is object else row[ks] & mask).tolist()
     return out
 
 
@@ -276,16 +334,25 @@ def stirling_rows_mod2(
 
     Sharing the pass is exact because every requested row is an intermediate
     state of the longest one.  With columns, which must map each n to some
-    k in 0..k_max, row n holds only S(n, k) for those k, in that order.  At
-    bits <= 64 the pass runs in uint32 lanes up to 32 bits and in uint64
-    lanes above, and it jumps: each numpy pass advances the row by the
-    longest power of two steps that does not pass the next requested row and
-    whose band fits the caps of _jump_count; a jump longer than the row is
-    wide costs about (k_max + 1)**2 products.  The row is capped at
+    k in 0..k_max, row n holds only S(n, k) for those k, in that order.  The
+    pass runs in numpy lanes: uint32 up to 32 bits, uint64 up to 64 and
+    Python integers (dtype object) above.  It jumps: each numpy pass
+    advances the row by the longest power of two steps that does not pass
+    the next requested row and whose band fits the caps of _jump_count at
+    this width; a jump longer than the row is wide costs about
+    (k_max + 1)**2 products.  Above 64 bits the bands are built for the pass
+    alone, mod 2**bits, and bands longer than 16 steps only when
+    (k_max + 1)**2 is at most the largest gap between requested rows: a
+    band built out to the full width costs about (k_max + 1)**3 big-integer
+    products and saves little on a shorter gap.  The row is capped at
     DEFAULT_ROW_CAP // 2 entries, so that even the band of a single step
-    (two entries per row entry) fits the cap.  Above 64 bits the pass steps
-    one row at a time on Python integers, so it is refused when it would take
-    more than _WIDE_STEP_CAP entry-steps, max(ns) * (k_max + 1).
+    (two entries per row entry) fits the cap.  Before any band is built,
+    the pass's jumps are planned from the inputs alone and the pass is
+    refused when they would take more than _LANE_STEP_CAP lane-steps (see
+    _lane_steps), so whether it is refused never depends on what ran
+    earlier in the process.  Bands cached for a wider row may stop short of
+    the plan's; the pass takes their shorter jumps only when they read fewer
+    band entries than composing its own deeper bands and jumping with them.
     """
     targets = sorted(set(ns))
     if not targets:
@@ -296,15 +363,21 @@ def stirling_rows_mod2(
         raise DomainError(f"need k_max >= 0, got {k_max}")
     if bits < 1:
         raise DomainError(f"need bits >= 1, got {bits}")
-    if 2 * (k_max + 1) > DEFAULT_ROW_CAP:
-        raise ResourceCapError(f"row of {k_max + 1} entries exceeds cap {DEFAULT_ROW_CAP // 2}")
-    if bits > 64 and targets[-1] * (k_max + 1) > _WIDE_STEP_CAP:
+    width = k_max + 1
+    if 2 * width > DEFAULT_ROW_CAP:
+        raise ResourceCapError(f"row of {width} entries exceeds cap {DEFAULT_ROW_CAP // 2}")
+    gap = max(b - a for a, b in zip([0, *targets], targets))
+    count = _jump_count(width, gap.bit_length())
+    if bits > 64 and width * width > gap:
+        count = min(count, _SHORT_JUMPS)
+    steps = _lane_steps(targets, width, count, bits)
+    if steps > _LANE_STEP_CAP:
         raise ResourceCapError(
-            f"row pass above 64 bits of {targets[-1]} steps at width {k_max + 1} exceeds"
-            f" the cap of {_WIDE_STEP_CAP} entry-steps"
+            f"row pass of {targets[-1]} steps at width {width} and {bits} bits takes {steps}"
+            f" lane-steps, over the cap of {_LANE_STEP_CAP}"
         )
     if columns is None:
-        want = {n: range(k_max + 1) for n in targets}
+        want = {n: range(width) for n in targets}
     else:
         missing = [n for n in targets if n not in columns]
         if missing:
@@ -314,9 +387,7 @@ def stirling_rows_mod2(
             if len(ks) and not 0 <= min(ks) <= max(ks) <= k_max:
                 bad = next(k for k in ks if not 0 <= k <= k_max)
                 raise DomainError(f"column {bad} of row {n} is outside 0..{k_max}")
-    if bits <= 64:
-        return _rows_numpy(want, k_max, bits)
-    return _rows_python(want, k_max, bits)
+    return _rows_numpy(want, k_max, bits, count)
 
 
 def stirling_row_mod2(n: int, k_max: int, bits: int) -> list[int]:

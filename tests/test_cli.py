@@ -10,9 +10,11 @@ from pathlib import Path
 import pytest
 
 from stirling2adic import cli
+from stirling2adic.base2 import nu2_int
 from stirling2adic.cli import main, parse_int_list, parse_pairs
+from stirling2adic.engine import stirling_explicit_mod2
 from stirling2adic.errors import DomainError
-from stirling2adic.verify import sweep_targets
+from stirling2adic.verify import cross_validate, sweep_targets
 
 # SHA-256 of `check-identities --format json` at its defaults
 CHECK_IDENTITIES_JSON_SHA256 = "89b88ad9d612f92787ab20165ef72e33b6af40193c3817c5d78b40ef5e425cdb"
@@ -97,10 +99,26 @@ class TestDiff:
         assert code == 3
         assert "conjecture-deviation" in out
 
-    def test_pass_above_64_bits_is_refused_at_once(self, capsys):
-        # the first rung, prediction + 32 bits, is past 64 bits: a pass of 3 * 2**33 rows is refused
+    def test_pass_above_64_bits_is_answered_at_once(self, capsys):
+        # the first rung, prediction + 32 bits, is past 64 bits: the pass of 3 * 2**33 rows jumps
+        # in Python integers, with bands built for the pass alone, so a wider pass above 64 bits
+        # earlier in the process does not shorten its jumps
+        cross_validate(200, 100, (200,))
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "diff", "3", "1", "33", "5")
+        code, out, _ = run_cli(capsys, "diff", "3", "1", "33", "5")
+        assert time.perf_counter() - start < 0.1
+        assert code == 0
+        assert out.startswith("nu2(S(25769803776,5) - S(8589934592,5)) = 33\n")
+        residues = [stirling_explicit_mod2(n, 5, 64).value for n in (3 << 33, 1 << 33)]
+        assert nu2_int((residues[0] - residues[1]) % 2**64) == 33
+
+    @pytest.mark.parametrize(
+        "argv", [("diff", "3", "1", "33", "1000"), ("val", "1000000000000", "1000")], ids=["diff", "val"]
+    )
+    def test_long_wide_pass_is_refused_at_once(self, capsys, argv):
+        # rows 1,001 wide jump by at most 32 steps: each pass would take over 10**13 lane-steps
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 0.1
         assert (code, out) == (70, "")
         assert "resource cap" in err

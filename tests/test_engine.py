@@ -139,16 +139,33 @@ class TestRowEngine:
                 stirling_row_mod2(10, engine.DEFAULT_ROW_CAP // 2, bits)
 
     def test_wide_pass_cap(self, monkeypatch):
-        # above 64 bits a pass steps one row at a time: max(ns) * (k_max + 1) is capped
-        start = time.perf_counter()
-        with pytest.raises(ResourceCapError, match="entry-steps"):
-            stirling_rows_mod2([3 << 33], 5, 96)
-        assert time.perf_counter() - start < 0.1
-        assert stirling_rows_mod2([3 << 33], 5, 64)  # the numpy lanes are not capped
-        monkeypatch.setattr(engine, "_WIDE_STEP_CAP", 60)
-        assert stirling_rows_mod2([5, 10], 5, 65) == exact_rows([5, 10], 5, 65)
-        with pytest.raises(ResourceCapError):
-            stirling_rows_mod2([5, 11], 5, 65)
+        # every pass is planned from its inputs and refused over _LANE_STEP_CAP lane-steps
+        # before any band is built: rows 1,001 wide jump by at most 32 steps
+        for ns in ([1 << 33, 3 << 33], [10**12]):
+            start = time.perf_counter()
+            with pytest.raises(ResourceCapError, match="lane-steps"):
+                stirling_rows_mod2(ns, 1000, 32)
+            assert time.perf_counter() - start < 0.1
+        # 3 * 2**33 rows 6 wide jump by up to 2**34 steps above 64 bits too
+        row = stirling_rows_mod2([3 << 33], 5, 96)[3 << 33]
+        assert row == [stirling_explicit_mod2(3 << 33, k, 96).value for k in range(6)]
+        # the plan against the jumps taken one by one: a cap of exactly the planned
+        # lane-steps lets the pass run, one less refuses it
+        cases = [
+            ([5, 10], 5, 65, 3),  # 6**2 > gap 5: jumps of 4 and 1, 5 rows and 2 of 6, 3 words
+            ([0, 1, 2, 40], 0, 1, 6),  # width 1: every band has one row
+            ([7, 300, 301], 16, 32, 9),  # gaps past the band depth and the width
+            ([100, 5000], 40, 64, 13),  # deep bands at width 41
+            ([64, 1000], 9, 200, 10),  # 10**2 <= gap 936: deep bands above 64 bits too
+            ([1000], 40, 128, 5),  # 41**2 > gap 1000: jumps of at most 16 above 64 bits
+        ]
+        for ns, k_max, bits, count in cases:
+            steps = planned_lane_steps(ns, k_max, bits, count)
+            monkeypatch.setattr(engine, "_LANE_STEP_CAP", steps)
+            assert stirling_rows_mod2(ns, k_max, bits) == reference_rows(ns, k_max, bits)
+            monkeypatch.setattr(engine, "_LANE_STEP_CAP", steps - 1)
+            with pytest.raises(ResourceCapError, match=f" {steps} lane-steps"):
+                stirling_rows_mod2(ns, k_max, bits)
 
     @pytest.mark.parametrize(
         "columns",
@@ -166,6 +183,17 @@ class TestRowEngine:
             row = stirling_row_mod2(n, n, 1)
             for k in range(n + 1):
                 assert row[k] == stirling_exact(n, k) % 2
+
+
+def planned_lane_steps(ns, k_max, bits, count):
+    """Band entries read by the jumps with count bands, taken one at a time, times 32-bit words."""
+    width, total, n = k_max + 1, 0, 0
+    for target in sorted(ns):
+        while n < target:
+            e = min((target - n).bit_length(), count) - 1
+            total += (min(1 << e, width - 1) + 1) * width * -(-bits // 32)
+            n += 1 << e
+    return total
 
 
 def exact_rows(ns, k_max, bits, columns=None):
@@ -231,11 +259,13 @@ LANES = ((np.uint32, 32), (np.uint64, 64))
 class TestJumpKernel:
     @given(st.data())
     @settings(max_examples=80, deadline=None)
-    def test_sparse_rows_against_exact_and_python_kernel(self, data):
-        # half the draws at 31..34 bits, around the switch from uint32 to uint64
-        # lanes; rows past 300 are checked against the Python kernel alone
+    def test_sparse_rows_against_exact_and_explicit_sum(self, data):
+        # half the draws at 31..34 or 63..66 bits, around the switches from uint32 to uint64
+        # lanes and from uint64 to Python integers; rows past 300 are checked against
+        # the explicit sum on the drawn columns
         k_max = data.draw(st.integers(0, 90), label="k_max")
-        bits = data.draw(st.one_of(st.integers(31, 34), st.integers(1, 64)), label="bits")
+        switch = st.one_of(st.integers(31, 34), st.integers(63, 66))
+        bits = data.draw(st.one_of(switch, st.integers(1, 256)), label="bits")
         start = data.draw(st.integers(0, 100), label="start")
         gap = st.one_of(st.sampled_from(GAPS), st.integers(0, 1 << 12))
         gaps = data.draw(st.lists(gap, min_size=1, max_size=6), label="gaps")
@@ -247,14 +277,16 @@ class TestJumpKernel:
         rows = stirling_rows_mod2(ns, k_max, bits, columns)
         small = [n for n in ns if n <= 300]
         assert {n: rows[n] for n in small} == exact_rows(small, k_max, bits, columns)
-        want = {n: range(k_max + 1) if columns is None else columns[n] for n in ns}
-        assert rows == engine._rows_python(want, k_max, bits)
+        for n in ns:
+            if n > 300:
+                ks = range(k_max + 1) if columns is None else columns[n]
+                assert rows[n] == [stirling_explicit_mod2(n, k, bits).value for k in ks]
         if bits <= 32:
             # the uint32 lane agrees with the uint64 lane mod 2**bits
             wide = stirling_rows_mod2(ns, k_max, 64, columns)
             assert rows == {n: [r % 2**bits for r in row] for n, row in wide.items()}
 
-    @pytest.mark.parametrize("bits", [1, 32, 33, 37, 64])
+    @pytest.mark.parametrize("bits", [1, 32, 33, 37, 64, 65, 128, 256])
     def test_every_gap(self, bits):
         # a row alone and a row after row 50, at every gap: each jump length and remainder
         for gap in GAPS:
@@ -274,7 +306,8 @@ class TestJumpKernel:
     def test_deep_narrow_rows_against_explicit_sum(self, n):
         for k_max in (64, 256):
             ks = [0, 1, 3, 4, 63, k_max]
-            for bits in (13, 32, 64):
+            # above 64 bits only at k_max = 64: a row 257 wide takes about 30 s there
+            for bits in (13, 32, 64) if k_max > 64 else (13, 32, 64, 65, 128, 256):
                 row = stirling_rows_mod2((n,), k_max, bits, {n: ks})[n]
                 assert row == [stirling_explicit_mod2(n, k, bits).value for k in ks]
 
@@ -285,15 +318,23 @@ class TestJumpKernel:
         for lane, _ in LANES:
             reference = recurrence_bands(lane, width, 1 << 7)
             fresh, widened = engine._JumpBands(lane), engine._JumpBands(lane)
-            widened.get(width // 2 + 1, 1 << 7)
+            widened.get(width // 2 + 1, 8)
             for cache in (fresh, widened):
-                bands = cache.get(width, 1 << 7)
+                bands = cache.get(width, 8)
                 assert len(bands) == 8
                 for e, (band, ref) in enumerate(zip(bands, reference)):
                     rows = min(1 << e, width - 1) + 1
                     assert band.dtype == np.dtype(lane) and band.shape == (rows, width)
                     assert (band == ref[:rows]).all() and not ref[rows:].any()
             assert fresh._width == widened._width == width
+        # Python integers: composed from the one-step band and reduced mod 2**bits
+        reference = recurrence_bands(object, width, 1 << 7)
+        for bits in (65, 128, 256):
+            bands = engine._object_bands(width, 8, bits)
+            for e, (band, ref) in enumerate(zip(bands, reference)):
+                rows = min(1 << e, width - 1) + 1
+                assert band.dtype == np.dtype(object) and band.shape == (rows, width)
+                assert band.tolist() == (ref[:rows] % 2**bits).tolist() and not ref[rows:].any()
 
     def test_narrow_after_wide_and_wide_after_narrow(self, monkeypatch):
         # each sequence starts from an empty band cache of its lane; the process-wide ones are restored after
@@ -325,6 +366,23 @@ class TestJumpKernel:
                 assert sum(sizes) > engine._LANE_BAND_CAP
             # a request's largest gap bounds the bands: jumps of 1 and 2 steps for a gap of 3
             assert engine._jump_count(width, (3).bit_length()) == min(count, 2)
+
+    def test_narrow_row_after_a_wide_one_composes_its_own_deep_bands(self, monkeypatch):
+        # the cached bands of a row 1,001 wide jump by at most 32 steps: 3 * 2**32 steps
+        # of a row 6 wide would take 4 * 10**8 numpy passes with them
+        ns = (1 << 32, 3 << 32)
+        expected = {n: [stirling_explicit_mod2(n, k, 32).value for k in range(6)] for n in ns}
+        for lane, bits in LANES:
+            bands = engine._JumpBands(lane)
+            monkeypatch.setitem(engine._BANDS, lane, bands)
+            stirling_rows_mod2((100,), 1000, bits)
+            assert bands._width == 1001 and len(bands._bands) == engine._SHORT_JUMPS + 1
+            start = time.perf_counter()
+            rows = stirling_rows_mod2(ns, 5, bits)
+            assert time.perf_counter() - start < 0.1
+            assert {n: [r % 2**32 for r in row] for n, row in rows.items()} == expected
+            # the deep bands were the pass's own: the cache is as it was
+            assert bands._width == 1001 and len(bands._bands) == engine._SHORT_JUMPS + 1
 
     def test_wide_row_keeps_the_band_cache_under_the_cap(self, monkeypatch):
         # a row too wide for the 16-step jump, then narrow rows, then one as
@@ -448,7 +506,7 @@ class TestExplicitEngine:
         def refuse(*args, **kwargs):
             raise AssertionError("the explicit rows reached another route")
 
-        for name in ("stirling_rows_mod2", "_rows_numpy", "_rows_python", "stirling_exact"):
+        for name in ("stirling_rows_mod2", "_rows_numpy", "stirling_exact"):
             monkeypatch.setattr(engine, name, refuse)
         assert list(stirling_explicit_rows_mod2(50, 40, 96)) == expected
 
