@@ -25,3 +25,7 @@ check 0 'bits,n,k_max,first_mismatch,source,claim_kind,claim_value,observed_kind
 check 0 'nu2(S(25769803776,5) - S(8589934592,5)) = 33' diff 3 1 33 5
 # rows 1,001 wide jump by at most 32 steps: over 1e13 lane-steps, refused at once (exit 70, nothing on stdout)
 check 70 '' diff 3 1 33 1000
+# the sweep's column path from the installed package (on numpy 1.24 in the numpy-floor job)
+check 0 'n,c,k,N,source,claim_kind,claim_value,observed_kind,observed_value,verdict' sweep lengyel-eq --range n=1..3 --format csv
+# 4 * 2**60 cells: refused from the blocks' closed-form counts before any is built (exit 70, nothing on stdout)
+check 70 '' sweep lengyel-eq --range n=60

@@ -6,12 +6,18 @@ additivity, the J-set cardinality, the top-run statistic theta, and the
 delta correction term of the difference-valuation formula).
 
 All inputs are machine-scale integers; arbitrary-precision Stirling values
-live in :mod:`stirling2adic.engine`.
+live in :mod:`stirling2adic.engine`.  The column forms (``s2_column`` and
+the like) apply a scalar function to every entry of a numpy array, for the
+sweeps' blocks of cells.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 from .errors import DomainError, ResourceCapError
 
@@ -35,6 +41,10 @@ __all__ = [
     "mersenne_power_val",
     "theta",
     "delta_conjecture",
+    "s2_column",
+    "nu2_column",
+    "ceil_log2_column",
+    "theta_column",
 ]
 
 FINITE = "finite"
@@ -244,6 +254,87 @@ def delta_conjecture(k: int) -> int:
     if is_power_of_two(k) or is_power_of_two(k + 1):
         return 1
     return 0
+
+
+# ---------------------------------------------------------------------------
+# column forms
+#
+# Each takes an array of integers (or anything numpy.asarray takes) and gives
+# an int64 array of the same shape, entry for entry what the scalar form
+# gives, with the same DomainError on an entry outside its domain.  int64
+# arrays are computed by whole-array operations; any other dtype, such as
+# object arrays of Python integers past int64, goes through the scalar form
+# one entry at a time.
+
+_BYTE_S2 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+
+def _column_form(scalar: Callable[[int], int]) -> Callable:
+    """Decorator: the vectorised int64 body, with scalar for every other dtype."""
+
+    def decorate(body: Callable[[np.ndarray], np.ndarray]) -> Callable[[object], np.ndarray]:
+        @functools.wraps(body)
+        def column(x: object) -> np.ndarray:
+            x = np.asarray(x)
+            if x.dtype != np.int64:
+                values = [scalar(v) for v in x.ravel().tolist()]
+                return np.array(values, dtype=np.int64).reshape(x.shape)
+            return body(x)
+
+        return column
+
+    return decorate
+
+
+def _at_least(x: np.ndarray, low: int, name: str) -> None:
+    if x.size and x.min() < low:
+        raise DomainError(f"{name} needs x >= {low}, got {x.min()}")
+
+
+def _bit_lengths(x: np.ndarray) -> np.ndarray:
+    """int.bit_length of each entry of an int64 array of naturals: the exponent
+    numpy.frexp gives, exact below 2**53, and above that by binary search."""
+    if not x.size or x.max() < 1 << 53:
+        return np.frexp(x)[1].astype(np.int64)
+    out = np.zeros(x.shape, dtype=np.int64)
+    for shift in (32, 16, 8, 4, 2, 1):
+        high = x >> shift != 0
+        out += high * shift
+        x = np.where(high, x >> shift, x)
+    return out + (x != 0)
+
+
+@_column_form(s2)
+def s2_column(x: np.ndarray) -> np.ndarray:
+    """s2 of each entry, as the sum of a byte table over its 8 bytes
+    (numpy.bitwise_count needs numpy 2)."""
+    _at_least(x, 0, "s2")
+    octets = np.ascontiguousarray(x).view(np.uint8).reshape(x.shape + (8,))
+    return _BYTE_S2[octets].sum(axis=-1, dtype=np.int64)
+
+
+@_column_form(nu2_int)
+def nu2_column(x: np.ndarray) -> np.ndarray:
+    """nu2 of each nonzero entry (sign ignored), from its lowest set bit x & -x."""
+    if (x == 0).any():
+        raise DomainError("nu2_int is undefined at 0; use nu2")
+    return _bit_lengths(x & -x) - 1
+
+
+@_column_form(ceil_log2)
+def ceil_log2_column(x: np.ndarray) -> np.ndarray:
+    """ceil(log2(x)) of each entry x >= 1: the bit length of x - 1."""
+    _at_least(x, 1, "ceil_log2")
+    return _bit_lengths(x - 1)
+
+
+@_column_form(theta)
+def theta_column(x: np.ndarray) -> np.ndarray:
+    """theta of each entry x >= 1: its bit length less that of its complement
+    within that length, whose top bit is the first zero below the top run."""
+    _at_least(x, 1, "theta")
+    length = _bit_lengths(x)
+    return length - _bit_lengths(((1 << length) - 1) ^ x)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .base2 import Valuation, nu2_int
-from .engine import Residue, stirling_exact, stirling_row_mod2, stirling_rows_mod2
+from .engine import Residue, stirling_exact_table, stirling_row_mod2, stirling_rows_mod2
 from .errors import DomainError, PrecisionError
 
 __all__ = ["PolyMod", "bell_poly", "junod_check"]
@@ -169,8 +169,9 @@ def junod_check(
         return low >= required, Valuation.finite(low - required)
 
     required = _nu_p(n, p) + 1
-    lhs_exact = [stirling_exact(full_degree, k) for k in range(min(full_degree, cap) + 1)]
-    bells = [[stirling_exact(m + j, k) for k in range(min(m + j, cap) + 1)] for j in range(n + 1)]
+    table = stirling_exact_table(full_degree, min(full_degree, cap))
+    lhs_exact = table[full_degree][: min(full_degree, cap) + 1]
+    bells = [table[m + j][: min(m + j, cap) + 1] for j in range(n + 1)]
     rhs_exact = _rhs_coeffs(bells, v, p, cap, None)
     lhs_exact += [0] * (cap + 1 - len(lhs_exact))
     diff_exact = [a - b for a, b in zip(lhs_exact, rhs_exact)]

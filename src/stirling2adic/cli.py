@@ -204,12 +204,11 @@ def _report_text(report: V.SweepReport) -> str:
     policy = report.config.get("policy")
     if policy:
         lines.append(f"precision: initial={policy['initial_bits']} max={policy['max_bits']} bits")
-    for rec in report.records:
-        if rec.verdict in (V.VIOLATED, V.CONJECTURE_DEVIATION, V.INDETERMINATE):
-            params = ", ".join(f"{k}={v}" for k, v in rec.params.items())
-            claim = rec.claim_kind if rec.claim_value is None else f"{rec.claim_kind}={rec.claim_value}"
-            obs = rec.observed_kind if rec.observed_value is None else f"{rec.observed_kind}={rec.observed_value}"
-            lines.append(f"  {rec.verdict}: [{params}] {rec.source} {claim} observed {obs}")
+    for rec in report.cells(V.VIOLATED, V.CONJECTURE_DEVIATION, V.INDETERMINATE):
+        params = ", ".join(f"{k}={v}" for k, v in rec.params.items())
+        claim = rec.claim_kind if rec.claim_value is None else f"{rec.claim_kind}={rec.claim_value}"
+        obs = rec.observed_kind if rec.observed_value is None else f"{rec.observed_kind}={rec.observed_value}"
+        lines.append(f"  {rec.verdict}: [{params}] {rec.source} {claim} observed {obs}")
     return "\n".join(lines) + "\n"
 
 

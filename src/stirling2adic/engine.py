@@ -19,7 +19,8 @@ numpy product of a coefficient band with the shifted copies of the row and
 one sum over the band.  The band of 2s steps is the band of s composed with
 itself, so a narrow row N steps long takes O(log N) numpy passes.  Every
 pass plans its jumps from its inputs and is refused over _LANE_STEP_CAP
-lane-steps before any work (see stirling_rows_mod2).
+lane-steps, object-lane words weighted by their cost, before any work (see
+stirling_rows_mod2).
 
 The explicit route evaluates the sum for one cell, and for whole rows reads
 k! S(n, k) off the forward-difference table of 0**n, 1**n, ..., k**n, in
@@ -49,6 +50,7 @@ __all__ = [
     "DEFAULT_ROW_CAP",
     "stirling_exact",
     "stirling_exact_rows",
+    "stirling_exact_table",
     "stirling_row_mod2",
     "stirling_rows_mod2",
     "stirling_mod2",
@@ -66,6 +68,9 @@ DEFAULT_ROW_CAP = 1 << 22  # entries of a lane's jump bands of 1 to 16 steps; a 
 _SHORT_JUMPS = 5  # the bands of 1, 2, 4, 8 and 16 steps, which share DEFAULT_ROW_CAP
 _LANE_BAND_CAP = 1 << 17  # entries of a lane's bands together once it holds one of more than 16 steps
 _LANE_STEP_CAP = 1 << 36  # lane-steps of one row pass (see _lane_steps); the scan at n = 16 takes 4.6e10
+# An object-lane word costs as much time as this many uint32 lane-steps: measured 20 to 86 at
+# widths 257 and 1,025 and 65 to 256 bits (most at 65 bits, where a word carries least)
+_OBJECT_WORD_WEIGHT = 96
 _EXPLICIT_K_CAP = 1022  # widest explicit row: its working residues carry up to nu2(1022!) = 1013 extra bits
 _EXPLICIT_BLOCK_BITS = 1 << 20  # bits of working residues in one block of explicit rows
 
@@ -248,7 +253,9 @@ def _lane_steps(targets: list[int], width: int, count: int, bits: int) -> int:
 
     A jump of 2**e steps reads the min(2**e, width - 1) + 1 rows of its
     band once, and each entry counts ceil(bits / 32) 32-bit words: 1 in the
-    uint32 lane, 2 in the uint64 lane.  A gap takes gap >> (count - 1) jumps
+    uint32 lane, 2 in the uint64 lane.  Above 64 bits each word counts
+    _OBJECT_WORD_WEIGHT, what a word of the object lane costs in uint32
+    lane-steps of the same time.  A gap takes gap >> (count - 1) jumps
     of the longest band and then one jump for each set bit of the remainder,
     so the plan costs a few integer operations per row.
     """
@@ -265,7 +272,7 @@ def _lane_steps(targets: list[int], width: int, count: int, bits: int) -> int:
         entries += (gap >> top) * longest + width * (
             rest.bit_count() + low + (width - 1) * (rest >> short).bit_count()
         )
-    return entries * -(-bits // 32)
+    return entries * -(-bits // 32) * (_OBJECT_WORD_WEIGHT if bits > 64 else 1)
 
 
 def _rows_numpy(
@@ -349,7 +356,8 @@ def stirling_rows_mod2(
     (two entries per row entry) fits the cap.  Before any band is built,
     the pass's jumps are planned from the inputs alone and the pass is
     refused when they would take more than _LANE_STEP_CAP lane-steps (see
-    _lane_steps), so whether it is refused never depends on what ran
+    _lane_steps; above 64 bits a lane-step weighs what it costs in the
+    object lane), so whether it is refused never depends on what ran
     earlier in the process.  Bands cached for a wider row may stop short of
     the plan's; the pass takes their shorter jumps only when they read fewer
     band entries than composing its own deeper bands and jumping with them.
@@ -445,6 +453,10 @@ class _ExactTable:
         self.ensure(n_max, min(n_max, k_max))
         return [row[: min(n, k_max) + 1] for n, row in enumerate(self._rows[: n_max + 1])]
 
+    def table(self, n_max: int, k_max: int) -> list[list[int]]:
+        self.ensure(n_max, k_max)
+        return self._rows
+
 
 _EXACT = _ExactTable()
 
@@ -474,6 +486,21 @@ def stirling_exact_rows(n_max: int, k_max: int) -> list[list[int]]:
     if n_max > DEFAULT_EXACT_CAP:
         raise ResourceCapError(f"exact engine capped at n <= {DEFAULT_EXACT_CAP}, got {n_max}")
     return _EXACT.rows(n_max, k_max)
+
+
+def stirling_exact_table(n_max: int, k_max: int) -> list[list[int]]:
+    """The shared exact triangle, grown to rows 0..n_max and columns 0..k_max at least.
+
+    Row n holds S(n, k) at index k, and 0 above n.  The rows are the cache
+    itself, not copies: a check that reads many entries reads them here
+    after one range check, instead of calling stirling_exact per entry.
+    Callers must not change them.
+    """
+    if n_max < 0 or k_max < 0:
+        raise DomainError(f"need n_max, k_max >= 0, got n_max={n_max}, k_max={k_max}")
+    if n_max > DEFAULT_EXACT_CAP:
+        raise ResourceCapError(f"exact engine capped at n <= {DEFAULT_EXACT_CAP}, got {n_max}")
+    return _EXACT.table(n_max, k_max)
 
 
 # ---------------------------------------------------------------------------
@@ -688,18 +715,19 @@ def check_convolution(n: int, m: int, k: int) -> bool:
     """
     if n < 0 or m < 0 or not 0 <= k <= n + m:
         raise DomainError(f"need n, m >= 0 and 0 <= k <= n+m, got {n}, {m}, {k}")
-    lhs = stirling_exact(n + m, k)
+    table = stirling_exact_table(n + m, k)
+    row_n, row_m = table[n], table[m]
     rhs = 0
     for j in range(1, k + 1):
-        sm = stirling_exact(m, j)
+        sm = row_m[j]
         if sm == 0:
             continue
         for i in range(j + 1):
-            sn = stirling_exact(n, k - i)
+            sn = row_n[k - i]
             if sn == 0:
                 continue
             rhs += math.comb(j, i) * math.perm(k - i, j - i) * sn * sm
-    return lhs == rhs
+    return table[n + m][k] == rhs
 
 
 def check_symmetric_identity(k1: int, k2: int, r: int) -> bool:
@@ -712,17 +740,16 @@ def check_symmetric_identity(k1: int, k2: int, r: int) -> bool:
         raise DomainError(f"need k1, k2 >= 0, got {k1}, {k2}")
     if r < max(k1, k2) + 2:
         raise DomainError(f"need r >= max(k1, k2) + 2, got r={r}")
+    table = stirling_exact_table(k1 + k2 + 2, r)
+    row_1, row_2 = table[k1 + 1], table[k2 + 1]
     lhs = (
         math.factorial(k1)
         * math.factorial(k2)
         * math.factorial(r - 1)
-        * stirling_exact(k1 + k2 + 2, r)
+        * table[k1 + k2 + 2][r]
     )
     rhs = math.factorial(k1 + k2 + 1) * sum(
-        math.factorial(i - 1)
-        * math.factorial(r - i - 1)
-        * stirling_exact(k1 + 1, i)
-        * stirling_exact(k2 + 1, r - i)
+        math.factorial(i - 1) * math.factorial(r - i - 1) * row_1[i] * row_2[r - i]
         for i in range(1, r)
     )
     return lhs == rhs

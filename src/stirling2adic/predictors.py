@@ -5,14 +5,31 @@ case, the conjectured one) as a typed claim: an equality, a lower bound, or
 a conjectural equality, tagged with the statement it came from.  Claims are
 verified against the exact engine by :mod:`stirling2adic.verify`; predictors
 never compute Stirling numbers themselves.
+
+The sweeps' predictors also have column forms (``predict_*_columns``): the
+claims about a block of cells at once, as a Claims of numpy columns, each
+entry what the scalar form gives for that cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .base2 import ceil_log2, delta_conjecture, is_power_of_two, nu2_int, s2, theta
+import numpy as np
+
+from .base2 import (
+    ceil_log2,
+    ceil_log2_column,
+    delta_conjecture,
+    is_power_of_two,
+    nu2_column,
+    nu2_int,
+    s2,
+    s2_column,
+    theta,
+    theta_column,
+)
 from .errors import DomainError
 
 __all__ = [
@@ -29,13 +46,21 @@ __all__ = [
     "SRC_LEM_SHIFTED_POWER",
     "SRC_LEM_THETA",
     "SRC_CONJ_MERSENNE",
+    "CLAIM_KINDS",
+    "SOURCES",
     "Prediction",
+    "Claims",
     "predict_val",
     "predict_val_shifted_power",
     "predict_val_shifted_triple",
     "predict_val_difference",
     "predict_val_theta",
+    "predict_val_shifted_power_columns",
+    "predict_val_shifted_triple_columns",
+    "predict_val_difference_columns",
+    "predict_val_theta_columns",
     "f_conjectured",
+    "f_conjectured_columns",
 ]
 
 EQUALITY = "equality"
@@ -52,6 +77,20 @@ SRC_LEM_LENGYEL_BD = "Lem-Lengyel-Bd"
 SRC_LEM_SHIFTED_POWER = "Lem-ShiftedPower"
 SRC_LEM_THETA = "Lem-Theta"
 SRC_CONJ_MERSENNE = "Conj-Mersenne"
+
+# what the codes of a Claims stand for
+CLAIM_KINDS = (EQUALITY, LOWER_BOUND, CONJECTURAL_EQUALITY)
+SOURCES = (
+    SRC_THM_LOWER_BOUND,
+    SRC_THM_DIAGONAL,
+    SRC_THM_DIFFERENCE,
+    SRC_THM_SHIFTED_TRIPLE,
+    SRC_LEM_LENGYEL_EQ,
+    SRC_LEM_LENGYEL_BD,
+    SRC_LEM_SHIFTED_POWER,
+    SRC_LEM_THETA,
+    SRC_CONJ_MERSENNE,
+)
 
 
 @dataclass(frozen=True)
@@ -82,6 +121,32 @@ class Prediction:
             CONJECTURAL_EQUALITY: "ConjecturalEquality",
         }[self.kind]
         return f"{label}({self.value}) [{self.source}]"
+
+
+class Claims(NamedTuple):
+    """The column form of Prediction: one claim per cell of a block.
+
+    source and kind are int8 codes into SOURCES and CLAIM_KINDS, value int64;
+    each is an array over the cells, or 0-d when it is the same in every cell.
+    """
+
+    source: np.ndarray
+    kind: np.ndarray
+    value: np.ndarray
+
+    @classmethod
+    def of(cls, source: str | np.ndarray, kind: str | np.ndarray, value: object) -> "Claims":
+        """Claims from a source and a kind given by name, or as code arrays."""
+        if isinstance(source, str):
+            source = np.array(SOURCES.index(source), dtype=np.int8)
+        if isinstance(kind, str):
+            kind = np.array(CLAIM_KINDS.index(kind), dtype=np.int8)
+        return cls(source, kind, np.asarray(value, dtype=np.int64))
+
+
+def _where(cond: np.ndarray, yes: str, no: str, names: tuple[str, ...]) -> np.ndarray:
+    """The code of yes where cond holds, else that of no, in names."""
+    return np.where(cond, names.index(yes), names.index(no)).astype(np.int8)
 
 
 def predict_val(big_n: int, k: int) -> list[Prediction]:
@@ -141,6 +206,15 @@ def predict_val_shifted_power(c: int, n: int, m: int) -> Prediction:
     )
 
 
+def predict_val_shifted_power_columns(c: int, n: np.ndarray, m: np.ndarray) -> Claims:
+    """Column form of predict_val_shifted_power over arrays n and m of the same shape."""
+    if c < 1 or c % 2 == 0:
+        raise DomainError(f"need odd c >= 1, got {c}")
+    if m.size and ((m < 0) | (m >= n)).any():
+        raise DomainError("need 0 <= m < n in every cell")
+    return Claims.of(SRC_LEM_SHIFTED_POWER, EQUALITY, n - 1 - m)
+
+
 def predict_val_shifted_triple(c: int, m: int, b: int, n: int, a: int) -> Prediction:
     """Claim about nu2(S(c*2**m + b*2**(n+1) + 2**n, b*2**(n+2) + a)).
 
@@ -165,6 +239,21 @@ def predict_val_shifted_triple(c: int, m: int, b: int, n: int, a: int) -> Predic
     return Prediction(LOWER_BOUND, s2(a), SRC_THM_SHIFTED_TRIPLE, params)
 
 
+def predict_val_shifted_triple_columns(
+    c: np.ndarray, m: np.ndarray, b: int, n: int, a: np.ndarray
+) -> Claims:
+    """Column form of predict_val_shifted_triple over arrays c, m and a of the same shape."""
+    if a.size:
+        # the domain is a box in (c, m, a) but for the oddness of c: its corners decide
+        predict_val_shifted_triple(int(c.min()), int(m.min()), b, n, int(a.min()))
+        predict_val_shifted_triple(int(c.max()), int(m.max()), b, n, int(a.max()))
+        if (c % 2 == 0).any():
+            raise DomainError("need odd c in every cell")
+    top = a == (1 << (n + 1)) - 1
+    kind = _where(top, EQUALITY, LOWER_BOUND, CLAIM_KINDS)
+    return Claims.of(SRC_THM_SHIFTED_TRIPLE, kind, np.where(top, n, s2_column(a)))
+
+
 def predict_val_difference(a: int, b: int, n: int, k: int) -> Prediction:
     """Claim about nu2(S(a*2**n, k) - S(b*2**n, k)) for a > b >= 1, 3 <= k <= 2**n:
 
@@ -185,6 +274,23 @@ def predict_val_difference(a: int, b: int, n: int, k: int) -> Prediction:
     return Prediction(EQUALITY, value, SRC_THM_DIFFERENCE, params)
 
 
+def predict_val_difference_columns(
+    a: int | np.ndarray, b: int | np.ndarray, n: int | np.ndarray, k: np.ndarray
+) -> Claims:
+    """Column form of predict_val_difference: a, b and n are ints or arrays
+    that broadcast with the array k."""
+    if k.size and (np.min(b) < 1 or np.min(a - b) < 1):
+        raise DomainError(f"need a > b >= 1 in every cell, got a={a}, b={b}")
+    # f_conjectured_columns checks k >= 3; k <= 2**n is (k - 1) >> n == 0
+    value = n + 1 + nu2_column(a - b) - f_conjectured_columns(k)
+    if k.size and ((k - 1) >> n).any():
+        raise DomainError(f"need 3 <= k <= 2**n in every cell, got k={k}, n={n}")
+    mersenne = (k & (k + 1)) == 0
+    source = _where(mersenne, SRC_CONJ_MERSENNE, SRC_THM_DIFFERENCE, SOURCES)
+    kind = _where(mersenne, CONJECTURAL_EQUALITY, EQUALITY, CLAIM_KINDS)
+    return Claims.of(source, kind, value)
+
+
 def _distinguished_a(k: int) -> int:
     # the unique a for which the theta-lemma bound is attained
     m1 = k.bit_length() - 1
@@ -193,6 +299,18 @@ def _distinguished_a(k: int) -> int:
     if th < s2(k):
         return (1 << (m_th - 1)) * ((1 << th) - 1)
     return (1 << m_th) * ((1 << (th - 1)) - 1)
+
+
+def _distinguished_a_columns(k: np.ndarray) -> np.ndarray:
+    """_distinguished_a of each entry of k."""
+    if k.dtype != np.int64:
+        return np.array([_distinguished_a(v) for v in k.tolist()], dtype=object)
+    th = theta_column(k)
+    m_th = ceil_log2_column(k + 1) - th  # floor(log2 k) - theta + 1
+    # each branch is taken only where its shifts are >= 0
+    short = (1 << np.maximum(m_th - 1, 0)) * ((1 << th) - 1)
+    run = (1 << m_th) * ((1 << np.maximum(th - 1, 0)) - 1)
+    return np.where(th < s2_column(k), short, run)
 
 
 def predict_val_theta(c: int, n: int, a: int, k: int) -> Prediction:
@@ -222,6 +340,24 @@ def predict_val_theta(c: int, n: int, a: int, k: int) -> Prediction:
     return Prediction(LOWER_BOUND, max(0, base + 1), SRC_LEM_THETA, params)
 
 
+def predict_val_theta_columns(c: int, n: int, a: np.ndarray, k: np.ndarray) -> Claims:
+    """Column form of predict_val_theta over arrays a and k of the same shape."""
+    if c < 1 or c % 2 == 0:
+        raise DomainError(f"need odd c >= 1, got {c}")
+    if k.size:
+        if int(k.min()) < 3 or int(k.max()) > 1 << n:
+            raise DomainError(f"need 3 <= k <= 2**n, got k in {k.min()}..{k.max()}, n={n}")
+        # s2(k) >= 2 holds for every k >= 3 that is not a power of two
+        if ((k & (k - 1)) == 0).any() or ((k & (k + 1)) == 0).any():
+            raise DomainError("k may be neither a power of two nor one less")
+        if (a < 1).any() or (a > (k + 1) // 2 - 1).any():
+            raise DomainError("need 1 <= a <= ceil(k/2) - 1 in every cell")
+    base = s2_column(k) - ceil_log2_column(k) + nu2_column(a)
+    at = a == _distinguished_a_columns(k)
+    kind = _where(at, EQUALITY, LOWER_BOUND, CLAIM_KINDS)
+    return Claims.of(SRC_LEM_THETA, kind, np.where(at, base, np.maximum(0, base + 1)))
+
+
 def f_conjectured(k: int) -> int:
     """The difference drop f(k) = 1 + ceil(log2 k) - s2(k) - delta(k).
 
@@ -229,3 +365,12 @@ def f_conjectured(k: int) -> int:
     if k < 3:
         raise DomainError(f"need k >= 3, got {k}")
     return 1 + ceil_log2(k) - s2(k) - delta_conjecture(k)
+
+
+def f_conjectured_columns(k: np.ndarray) -> np.ndarray:
+    """f_conjectured of each entry of k."""
+    if np.size(k) and int(np.min(k)) < 3:
+        raise DomainError(f"need k >= 3, got {np.min(k)}")
+    power = (k & (k - 1)) == 0
+    delta = np.where(k == 4, 2, power | ((k & (k + 1)) == 0))
+    return 1 + ceil_log2_column(k) - s2_column(k) - delta

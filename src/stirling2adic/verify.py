@@ -2,6 +2,19 @@
 identity suites, the difference-congruence check, and a scanner for the open
 Mersenne-shaped case.
 
+A sweep works on blocks of cells, not on one cell at a time.  A target
+yields its grid as blocks, for example one per n or per pair, each with its
+cell count in closed form, so that a grid over the cell cap is refused
+before any block is built.  A block holds its parameters as columns (see
+_Block): numpy int64 arrays, a plain value where a parameter is the same in
+every cell, arrays of exact Python integers (dtype object) where a value can
+pass int64, and codes into a few values for the parameters of an outer loop
+(see _runs).  The claims come from the predictors' column forms, the queries
+of every block go to one valuations() call, and the verdicts are one table
+lookup over all cells (see _VERDICTS).  The exact checks (junod, identities,
+count-J, diff-congruence) run one cell at a time and emit blocks too, and so
+do the scanner and cross-validation.
+
 Reports are deterministic: cells are emitted in lexicographic parameter
 order, and runtime metadata is kept out of the serialized record section.
 Everything runs in the calling process.
@@ -9,27 +22,41 @@ Everything runs in the calling process.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
 import time
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
-from typing import Callable, Collection, Iterable, Iterator
+from operator import attrgetter
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from ._version import __version__
-from .base2 import Valuation, count_J, brute_force_J, is_power_of_two, nu2_int, s2
+from .base2 import (
+    AT_LEAST,
+    FINITE,
+    INFINITE,
+    Valuation,
+    brute_force_J,
+    count_J,
+    nu2_int,
+    s2_column,
+)
 from .bell import junod_check
 from .engine import (
     DEFAULT_EXACT_CAP,
     PrecisionPolicy,
     check_convolution,
     check_symmetric_identity,
-    stirling_exact,
     stirling_exact_rows,
+    stirling_exact_table,
     stirling_explicit_rows_mod2,
     stirling_row_mod2,  # unused here; kept for callers that look it up in this module
     stirling_rows_mod2,
@@ -125,6 +152,25 @@ def classify(kind: str, value: int | None, observed: Valuation) -> str:
     raise DomainError(f"cannot classify claim kind {kind!r}")
 
 
+_OBSERVED_KINDS = (FINITE, AT_LEAST, INFINITE)
+
+
+def _verdict_table() -> np.ndarray:
+    """classify as a table: the code in VERDICT_ORDER of the verdict on a claim
+    of kind CLAIM_KINDS[i] against an observation of kind _OBSERVED_KINDS[j]
+    whose value is below (0), at (1) or above (2) the claimed one."""
+    table = np.empty((len(P.CLAIM_KINDS), len(_OBSERVED_KINDS), 3), dtype=np.int8)
+    for i, kind in enumerate(P.CLAIM_KINDS):
+        for j, observed in enumerate(_OBSERVED_KINDS):
+            for side in range(3):
+                v = Valuation.infinite() if observed == INFINITE else Valuation(observed, 1 + side)
+                table[i, j, side] = VERDICT_ORDER.index(classify(kind, 2, v))
+    return table
+
+
+_VERDICTS = _verdict_table()
+
+
 @dataclass
 class CellRecord:
     """One verified grid cell: parameter echo, claim, observation, verdict."""
@@ -138,77 +184,158 @@ class CellRecord:
     verdict: str
 
 
-def _observed_fields(v: Valuation) -> tuple[str, int | None]:
-    return v.kind, v.value
+# ---------------------------------------------------------------------------
+# column blocks
 
 
-def _record(params: dict, pred: P.Prediction, observed: Valuation) -> CellRecord:
-    kind, value = _observed_fields(observed)
-    return CellRecord(
-        params=params,
-        source=pred.source,
-        claim_kind=pred.kind,
-        claim_value=pred.value,
-        observed_kind=kind,
-        observed_value=value,
-        verdict=classify(pred.kind, pred.value, observed),
-    )
+_FIELDS = ("source", "claim_kind", "claim_value", "observed_kind", "observed_value", "verdict")
 
 
-def _bool_record(params: dict, source: str, claim_kind: str, holds: bool) -> CellRecord:
-    return CellRecord(
-        params=params,
-        source=source,
-        claim_kind=claim_kind,
-        claim_value=None,
-        observed_kind="boolean",
-        observed_value=int(holds),
-        verdict=CONFIRMED if holds else VIOLATED,
-    )
+class _Coded(NamedTuple):
+    """A column of labels[code] for each code."""
+
+    labels: tuple
+    codes: np.ndarray
 
 
-def _check_record(params: dict, claim: tuple, result: object) -> CellRecord:
-    """Record of an exact-check cell whose check returned `result`.
+class _Block(NamedTuple):
+    """Cells that share a params layout, as columns.
 
-    A count claim holds when the enumerated set has the claimed size; any
-    other claim holds when the check returns true.  junod_check also returns
-    its slack, which the record echoes as a parameter.
+    keys is the layout; params holds one column per key and fields one per
+    name in _FIELDS.  A column is a numpy integer array (int64, or object
+    for exact Python integers), a _Coded, a list of values, or a single
+    value that every cell has.
     """
-    source, claim_kind, expected = claim
-    if claim_kind == "count":
-        return CellRecord(
-            params=params,
-            source=source,
-            claim_kind=claim_kind,
-            claim_value=expected,
-            observed_kind="count",
-            observed_value=len(result),
-            verdict=CONFIRMED if len(result) == expected else VIOLATED,
-        )
-    if isinstance(result, tuple):
-        result, slack = result
-        params = {**params, "slack": str(slack)}
-    return _bool_record(params, source, claim_kind, result)
+
+    keys: tuple[str, ...]
+    params: tuple
+    fields: tuple
+    size: int
+
+
+def _values(column: object, index: slice | np.ndarray, size: int) -> list:
+    """The entries of a column of size cells at index (a slice, or an array of positions)."""
+    if isinstance(column, _Coded):
+        return [column.labels[code] for code in column.codes[index].tolist()]
+    if isinstance(column, np.ndarray):
+        return column[index].tolist()
+    positions = range(size)[index] if isinstance(index, slice) else index.tolist()
+    if isinstance(column, list):
+        return column[index] if isinstance(index, slice) else [column[i] for i in positions]
+    return [column] * len(positions)
+
+
+def _records(block: _Block, index: slice | np.ndarray = slice(None)) -> list[CellRecord]:
+    params = [_values(column, index, block.size) for column in block.params]
+    fields = [_values(column, index, block.size) for column in block.fields]
+    rows = zip(*params) if params else repeat((), len(fields[0]))
+    return [CellRecord(dict(zip(block.keys, row)), *f) for row, f in zip(rows, zip(*fields))]
+
+
+def _blocks_of(records: Iterable[CellRecord]) -> list[_Block]:
+    """Blocks of records given one by one: one per run of records whose params share a layout."""
+    blocks = []
+    for keys, run in itertools.groupby(records, key=lambda rec: tuple(rec.params)):
+        run = list(run)
+        params = tuple([rec.params[key] for rec in run] for key in keys)
+        fields = tuple(list(map(attrgetter(name), run)) for name in _FIELDS)
+        blocks.append(_Block(keys, params, fields, len(run)))
+    return blocks
+
+
+class _Records(Sequence):
+    """The cells of a list of blocks as CellRecords, built when read."""
+
+    def __init__(self, blocks: list[_Block]) -> None:
+        self._blocks = blocks
+        self._ends = list(itertools.accumulate(block.size for block in blocks))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("record index out of range")
+        b = bisect.bisect_right(self._ends, i)
+        at = i - (self._ends[b] - self._blocks[b].size)
+        return _records(self._blocks[b], slice(at, at + 1))[0]
+
+    def __iter__(self) -> Iterator[CellRecord]:
+        for block in self._blocks:
+            yield from _records(block)
+
+
+def _verdict_counts(column: object, size: int) -> Counter:
+    if isinstance(column, _Coded):
+        counts = np.bincount(column.codes, minlength=len(column.labels)).tolist()
+        return Counter(dict(zip(column.labels, counts)))
+    if isinstance(column, list):
+        return Counter(column)
+    return Counter({column: size})
+
+
+def _int64(lo: int, hi: int) -> bool:
+    return -(1 << 63) <= lo and hi < 1 << 63
+
+
+def _plus(base: int, offsets: np.ndarray) -> np.ndarray:
+    """base + offsets, in int64 where base and every sum fit, else in exact Python integers."""
+    if not offsets.size or _int64(min(base, base + int(offsets.min())), max(base, base + int(offsets.max()))):
+        return offsets + base
+    return offsets.astype(object) + base
+
+
+def _exact(values: list[int]) -> np.ndarray:
+    """values as an int64 array where they all fit, else as exact Python integers."""
+    fits = not values or _int64(min(values), max(values))
+    return np.array(values, dtype=np.int64 if fits else object)
+
+
+def _runs(sizes: int | list[int], *columns: list[int]) -> tuple[_Coded, ...]:
+    """Columns of an outer loop over runs of cells: column[i] in each of the
+    sizes[i] cells of run i (sizes cells each for an int), as codes into
+    the column's values, one codes array for all the columns."""
+    count = len(columns[0])
+    codes = np.repeat(np.arange(count, dtype=np.min_scalar_type(count)), sizes)
+    return tuple(_Coded(tuple(values), codes) for values in columns)
+
+
+def _decoded(column: _Coded) -> np.ndarray:
+    """The entries of a column of runs as an array, for arithmetic."""
+    return _exact(list(column.labels))[column.codes]
 
 
 # ---------------------------------------------------------------------------
 # sweep targets
 #
-# A target's cells(ranges) validates its ranges, then yields one cell
-# (params, claim, query) per grid point in lexicographic order.  A
-# valuation cell's query is (n1, n2, k), asking for nu2(S(n1, k)) when n2 is
-# None and nu2(S(n1, k) - S(n2, k)) otherwise; its claim is
-# (predictor, *args), called only when the record is made, so that counting
-# cells stays cheap.  An exact-check cell's query is a partial that runs the
-# check, and its claim is (source, claim_kind, claim_value).
+# A target's blocks(ranges) validates its ranges, then yields one
+# (cell count, build) per block of its grid, in lexicographic order; build()
+# makes the block.  A valuation target builds _Cells, whose cells run
+# through _run_blocks; an exact-check target builds a finished _Block,
+# running its check one cell at a time.
 
 
-@dataclass(frozen=True)
-class _Target:
+class _Cells(NamedTuple):
+    """Valuation cells before evaluation: their params as in _Block, the
+    query (n1, n2, k) of each cell as columns, asking for nu2(S(n1, k)) when
+    n2 is None and for nu2(S(n1, k) - S(n2, k)) otherwise, and the claims."""
+
+    keys: tuple[str, ...]
+    params: tuple
+    query: tuple
+    claims: P.Claims
+    size: int
+
+
+class _Target(NamedTuple):
     name: str
     columns: tuple[str, ...]
     defaults: dict
-    cells: Callable[[dict], Iterator[tuple]]
+    blocks: Callable[[dict], Iterator[tuple[int, Callable[[], _Cells | _Block]]]]
 
 
 def _int_list(ranges: dict, key: str, floor: int | None = None) -> list[int]:
@@ -234,154 +361,226 @@ def _pair_list(ranges: dict) -> list[tuple[int, int]]:
     return pairs
 
 
-def _digit_claim(kind: str, source: str, x: int) -> P.Prediction:
-    return P.Prediction(kind, s2(x) - 1, source)
+def _cells(keys: str, params: tuple, query: tuple, claims: P.Claims, size: int) -> _Cells:
+    return _Cells(tuple(keys.split()), params, query, claims, size)
+
+
+def _digit_claims(source: str, kind: str, x: np.ndarray) -> P.Claims:
+    return P.Claims.of(source, kind, s2_column(x) - 1)
 
 
 def _lengyel(r: dict) -> Iterator[tuple]:
-    """nu2(S(c*2**n, k)) = s2(k) - 1 for 1 <= k <= 2**n."""
+    """nu2(S(c*2**n, k)) = s2(k) - 1 for 1 <= k <= 2**n: a block per n."""
     ns, cs = _int_list(r, "n", floor=0), _int_list(r, "c", floor=1)
     for n in ns:
-        for c in cs:
-            big_n = c << n
-            for k in range(1, (1 << n) + 1):
-                params = {"n": n, "c": c, "k": k, "N": big_n}
-                claim = (_digit_claim, P.EQUALITY, P.SRC_LEM_LENGYEL_EQ, k)
-                yield params, claim, (big_n, None, k)
+        yield len(cs) << n, partial(_lengyel_block, n, cs)
+
+
+def _lengyel_block(n: int, cs: list[int]) -> _Cells:
+    width = 1 << n
+    c, big_n = _runs(width, cs, [c << n for c in cs])
+    k = np.tile(np.arange(1, width + 1), len(cs))
+    claims = _digit_claims(P.SRC_LEM_LENGYEL_EQ, P.EQUALITY, k)
+    return _cells("n c k N", (n, c, k, big_n), (big_n, None, k), claims, k.size)
+
+
+def _lower_sizes(n: int, cs: list[int]) -> list[int]:
+    # every k <= c*2**n but the multiples of 2**(n+1)
+    return [(c << n) - (c >> 1) for c in cs]
 
 
 def _lower(r: dict) -> Iterator[tuple]:
-    """nu2(S(c*2**n, b*2**(n+1) + a)) >= s2(a) - 1 for every such k <= c*2**n."""
+    """nu2(S(c*2**n, b*2**(n+1) + a)) >= s2(a) - 1 for every such k <= c*2**n,
+    c odd: a block per n."""
     cs, ns = _odd_list(r, "c"), _int_list(r, "n", floor=0)
     for n in ns:
-        for c in cs:
-            big_n = c << n
-            for b in range(((big_n - 1) >> (n + 1)) + 1):
-                base = b << (n + 1)
-                for a in range(1, min(1 << (n + 1), big_n - base + 1)):
-                    k = base + a
-                    params = {"n": n, "c": c, "b": b, "a": a, "k": k, "N": big_n}
-                    claim = (_digit_claim, P.LOWER_BOUND, P.SRC_THM_LOWER_BOUND, a)
-                    yield params, claim, (big_n, None, k)
+        yield sum(_lower_sizes(n, cs)), partial(_lower_block, n, cs)
+
+
+def _lower_block(n: int, cs: list[int]) -> _Cells:
+    sizes, low = _lower_sizes(n, cs), (1 << (n + 1)) - 1
+    k = np.concatenate([np.arange(1, (c << n) + 1) for c in cs])
+    k = k[(k & low) != 0]
+    a, b = k & low, k >> (n + 1)
+    c, big_n = _runs(sizes, cs, [c << n for c in cs])
+    claims = _digit_claims(P.SRC_THM_LOWER_BOUND, P.LOWER_BOUND, a)
+    return _cells("n c b a k N", (n, c, b, a, k, big_n), (big_n, None, k), claims, k.size)
 
 
 def _diagonal(r: dict) -> Iterator[tuple]:
-    """nu2(S(c*2**n, (c-1)*2**n + a)) = s2(a) - 1 for 1 <= a <= 2**n."""
+    """nu2(S(c*2**n, (c-1)*2**n + a)) = s2(a) - 1 for 1 <= a <= 2**n: a block per n."""
     cs, ns = _odd_list(r, "c"), _int_list(r, "n", floor=2)
     for n in ns:
-        for c in cs:
-            big_n = c << n
-            for a in range(1, (1 << n) + 1):
-                k = ((c - 1) << n) + a
-                params = {"n": n, "c": c, "a": a, "k": k, "N": big_n}
-                claim = (_digit_claim, P.EQUALITY, P.SRC_THM_DIAGONAL, a)
-                yield params, claim, (big_n, None, k)
+        yield len(cs) << n, partial(_diagonal_block, n, cs)
+
+
+def _diagonal_block(n: int, cs: list[int]) -> _Cells:
+    width = 1 << n
+    c, big_n, base = _runs(width, cs, [c << n for c in cs], [(c - 1) << n for c in cs])
+    a = np.tile(np.arange(1, width + 1), len(cs))
+    k = _decoded(base) + a
+    claims = _digit_claims(P.SRC_THM_DIAGONAL, P.EQUALITY, a)
+    return _cells("n c a k N", (n, c, a, k, big_n), (big_n, None, k), claims, a.size)
 
 
 def _triple(r: dict) -> Iterator[tuple]:
-    """nu2(S(c*2**m + b*2**(n+1) + 2**n, b*2**(n+2) + a)), m from its least value on."""
+    """nu2(S(c*2**m + b*2**(n+1) + 2**n, b*2**(n+2) + a)), m from its least
+    value on: a block per (n, b), of every (m, c) and a."""
     cs, offs = _odd_list(r, "c"), _int_list(r, "m_offsets", floor=0)
     ns, bs = _int_list(r, "n", floor=1), _int_list(r, "b", floor=1)
-    for n in ns:
-        for b in bs:
-            m_lo = n + 2 + (b.bit_length() - 1)
-            for off in offs:
-                m = m_lo + off
-                for c in cs:
-                    big_n = (c << m) + (b << (n + 1)) + (1 << n)
-                    for a in range(1, 1 << (n + 1)):
-                        k = (b << (n + 2)) + a
-                        params = {"n": n, "b": b, "m": m, "c": c, "a": a, "k": k, "N": big_n}
-                        claim = (P.predict_val_shifted_triple, c, m, b, n, a)
-                        yield params, claim, (big_n, None, k)
+    for n, b in itertools.product(ns, bs):
+        ms = [n + 2 + (b.bit_length() - 1) + off for off in offs]
+        yield len(ms) * len(cs) * ((2 << n) - 1), partial(_triple_block, n, b, ms, cs)
 
 
-def _diff_ks(n: int) -> Iterator[int]:
-    return (k for k in range(3, (1 << n) + 1) if not is_power_of_two(k + 1))
+def _triple_block(n: int, b: int, ms: list[int], cs: list[int]) -> _Cells:
+    width, outer = (2 << n) - 1, list(itertools.product(ms, cs))
+    m, c, big_n = _runs(
+        width,
+        [m for m, _ in outer],
+        [c for _, c in outer],
+        [(c << m) + (b << (n + 1)) + (1 << n) for m, c in outer],
+    )
+    a = np.tile(np.arange(1, width + 1), len(outer))
+    k = _plus(b << (n + 2), a)
+    claims = P.predict_val_shifted_triple_columns(_decoded(c), _decoded(m), b, n, a)
+    return _cells("n b m c a k N", (n, b, m, c, a, k, big_n), (big_n, None, k), claims, a.size)
+
+
+def _diff_ks(n: int) -> np.ndarray:
+    """3 <= k <= 2**n without the k = 2**m - 1: 2**n - n - 1 of them."""
+    k = np.arange(3, (1 << n) + 1)
+    return k[(k & (k + 1)) != 0]
 
 
 def _difference(r: dict) -> Iterator[tuple]:
-    """nu2(S(a*2**n, k) - S(b*2**n, k)) for 3 <= k <= 2**n, k not 2**m - 1."""
+    """nu2(S(a*2**n, k) - S(b*2**n, k)) for 3 <= k <= 2**n, k not 2**m - 1:
+    a block per pair."""
     pairs, ns = _pair_list(r), _int_list(r, "n", floor=2)
     for a, b in pairs:
-        for n in ns:
-            n1, n2 = a << n, b << n
-            for k in _diff_ks(n):
-                params = {"a": a, "b": b, "n": n, "k": k, "N1": n1, "N2": n2}
-                yield params, (P.predict_val_difference, a, b, n, k), (n1, n2, k)
+        yield sum((1 << n) - n - 1 for n in ns), partial(_difference_block, a, b, ns)
+
+
+def _difference_block(a: int, b: int, ns: list[int]) -> _Cells:
+    k = np.concatenate([_diff_ks(n) for n in ns])
+    n, n1, n2 = _runs([(1 << n) - n - 1 for n in ns], ns, [a << n for n in ns], [b << n for n in ns])
+    claims = P.predict_val_difference_columns(a, b, _decoded(n), k)
+    return _cells("a b n k N1 N2", (a, b, n, k, n1, n2), (n1, n2, k), claims, k.size)
 
 
 def _shifted_power(r: dict) -> Iterator[tuple]:
-    """nu2(S(c*2**n + 2**m, 2**n)) = n - 1 - m for 0 <= m < n."""
+    """nu2(S(c*2**n + 2**m, 2**n)) = n - 1 - m for 0 <= m < n: a block per c."""
     cs, ns = _odd_list(r, "c"), _int_list(r, "n", floor=1)
     for c in cs:
-        for n in ns:
-            k = 1 << n
-            for m in range(n):
-                big_n = (c << n) + (1 << m)
-                params = {"c": c, "n": n, "m": m, "N": big_n, "k": k}
-                yield params, (P.predict_val_shifted_power, c, n, m), (big_n, None, k)
+        yield sum(ns), partial(_shifted_power_block, c, ns)
+
+
+def _shifted_power_block(c: int, ns: list[int]) -> _Cells:
+    grid = [(n, m) for n in ns for m in range(n)]
+    n, m = _exact([n for n, _ in grid]), _exact([m for _, m in grid])
+    big_n = _exact([(c << n) + (1 << m) for n, m in grid])
+    k = _exact([1 << n for n, _ in grid])
+    claims = P.predict_val_shifted_power_columns(c, n, m)
+    return _cells("c n m N k", (c, n, m, big_n, k), (big_n, None, k), claims, len(grid))
 
 
 def _theta(r: dict) -> Iterator[tuple]:
-    """nu2(S(c*2**n - a, k - 2a)) from the top-run lemma."""
+    """nu2(S(c*2**n - a, k - 2a)) from the top-run lemma: a block per (c, n) of
+    every k in 3..2**n but the powers of two and the k = 2**m - 1, and for
+    each k every a in 1..ceil(k/2) - 1."""
     cs, ns = _odd_list(r, "c"), _int_list(r, "n", floor=2)
-    for c in cs:
-        for n in ns:
-            for k in range(3, (1 << n) + 1):
-                if s2(k) < 2 or is_power_of_two(k) or is_power_of_two(k + 1):
-                    continue
-                for a in range(1, -(-k // 2)):
-                    arg_n, arg_k = (c << n) - a, k - 2 * a
-                    params = {"c": c, "n": n, "k": k, "a": a, "arg_n": arg_n, "arg_k": arg_k}
-                    claim = (P.predict_val_theta, c, n, a, k)
-                    yield params, claim, (arg_n, None, arg_k)
+    for c, n in itertools.product(cs, ns):
+        # sum over k <= 2**n of ceil(k/2) - 1, less 2**(j-1) - 1 twice for each 2 <= j <= n
+        half = 1 << (n - 1)
+        yield half * (half - 1) - ((2 << n) - 2 * n - 2), partial(_theta_block, c, n)
+
+
+def _theta_block(c: int, n: int) -> _Cells:
+    ks = np.arange(3, (1 << n) + 1)
+    ks = ks[((ks & (ks - 1)) != 0) & ((ks & (ks + 1)) != 0)]
+    counts = (ks + 1) // 2 - 1
+    k = np.repeat(ks, counts)
+    a = np.arange(k.size) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+    arg_n, arg_k = _plus(c << n, -a), k - 2 * a
+    claims = P.predict_val_theta_columns(c, n, a, k)
+    return _cells("c n k a arg_n arg_k", (c, n, k, a, arg_n, arg_k), (arg_n, None, arg_k), claims, k.size)
+
+
+def _check_block(keys: str, params: tuple, source: str, claim_kind: str, holds: list) -> _Block:
+    """A block of exact-check cells whose checks returned holds, one truth value per cell."""
+    ok = np.array(holds, dtype=bool)
+    verdict = np.where(ok, VERDICT_ORDER.index(CONFIRMED), VERDICT_ORDER.index(VIOLATED))
+    fields = (source, claim_kind, None, "boolean", ok.astype(np.int64), _Coded(VERDICT_ORDER, verdict))
+    return _Block(tuple(keys.split()), params, fields, ok.size)
 
 
 def _junod(r: dict) -> Iterator[tuple]:
-    """Junod's Bell-polynomial congruence."""
+    """Junod's Bell-polynomial congruence: one block."""
     ps, vs = _int_list(r, "p", floor=2), _int_list(r, "v", floor=1)
     ms, ns = _int_list(r, "m", floor=0), _int_list(r, "n", floor=1)
-    for p, v, m, n in itertools.product(ps, vs, ms, ns):
-        params = {"p": p, "v": v, "m": m, "n": n}
-        claim = ("Lem-Junod", "congruence", None)
-        yield params, claim, partial(junod_check, m, n, v, p)
+    yield len(ps) * len(vs) * len(ms) * len(ns), partial(_junod_block, ps, vs, ms, ns)
+
+
+def _junod_block(ps: list[int], vs: list[int], ms: list[int], ns: list[int]) -> _Block:
+    grid = list(itertools.product(ps, vs, ms, ns))
+    results = [junod_check(m, n, v, p) for p, v, m, n in grid]
+    params = [_exact(list(column)) for column in zip(*grid)]
+    slack = [str(slack) for _, slack in results]
+    holds = [holds for holds, _ in results]
+    return _check_block("p v m n slack", (*params, slack), "Lem-Junod", "congruence", holds)
 
 
 def _identities(r: dict) -> Iterator[tuple]:
-    """The convolution and symmetric product identities."""
+    """The convolution and symmetric product identities: a block per n and per k1."""
     conv_n, conv_m = _int_list(r, "conv_n", floor=0), _int_list(r, "conv_m", floor=0)
     sym_k1, sym_k2 = _int_list(r, "sym_k1", floor=0), _int_list(r, "sym_k2", floor=0)
-    for n, m in itertools.product(conv_n, conv_m):
-        for k in range(n + m + 1):
-            params = {"identity": "convolution", "n": n, "m": m, "k": k}
-            claim = ("Lem-Convolution", "identity", None)
-            yield params, claim, partial(check_convolution, n, m, k)
-    for k1, k2 in itertools.product(sym_k1, sym_k2):
-        for rr in range(max(k1, k2) + 2, k1 + k2 + 3):
-            params = {"identity": "symmetric", "k1": k1, "k2": k2, "r": rr}
-            claim = ("Lem-SymmetricProduct", "identity", None)
-            yield params, claim, partial(check_symmetric_identity, k1, k2, rr)
+    for n in conv_n:
+        yield sum(n + m + 1 for m in conv_m), partial(_convolution_block, n, conv_m)
+    for k1 in sym_k1:
+        yield sum(min(k1, k2) + 1 for k2 in sym_k2), partial(_symmetric_block, k1, sym_k2)
+
+
+def _convolution_block(n: int, ms: list[int]) -> _Block:
+    grid = [(m, k) for m in ms for k in range(n + m + 1)]
+    holds = [check_convolution(n, m, k) for m, k in grid]
+    params = ("convolution", n, _exact([m for m, _ in grid]), _exact([k for _, k in grid]))
+    return _check_block("identity n m k", params, "Lem-Convolution", "identity", holds)
+
+
+def _symmetric_block(k1: int, k2s: list[int]) -> _Block:
+    grid = [(k2, r) for k2 in k2s for r in range(max(k1, k2) + 2, k1 + k2 + 3)]
+    holds = [check_symmetric_identity(k1, k2, r) for k2, r in grid]
+    params = ("symmetric", k1, _exact([k2 for k2, _ in grid]), _exact([r for _, r in grid]))
+    return _check_block("identity k1 k2 r", params, "Lem-SymmetricProduct", "identity", holds)
 
 
 def _count_j(r: dict) -> Iterator[tuple]:
-    """The closed-form |J| against enumeration."""
+    """The closed-form |J| against enumeration: a block per n."""
     for n in _int_list(r, "n", floor=0):
-        for a in range(1, 1 << (n + 1)):
-            claim = ("Lem-CountJ", "count", count_J(n, a))
-            yield {"n": n, "a": a}, claim, partial(brute_force_J, n, a)
+        yield (2 << n) - 1, partial(_count_j_block, n)
+
+
+def _count_j_block(n: int) -> _Block:
+    a = np.arange(1, 2 << n)
+    claimed = np.array([count_J(n, x) for x in a.tolist()], dtype=np.int64)
+    observed = np.array([len(brute_force_J(n, x)) for x in a.tolist()], dtype=np.int64)
+    verdict = np.where(claimed == observed, VERDICT_ORDER.index(CONFIRMED), VERDICT_ORDER.index(VIOLATED))
+    fields = ("Lem-CountJ", "count", claimed, "count", observed, _Coded(VERDICT_ORDER, verdict))
+    return _Block(("n", "a"), (n, a), fields, a.size)
 
 
 def _diff_congruence(r: dict) -> Iterator[tuple]:
-    """The binomial-sum congruence behind the difference formula."""
+    """The binomial-sum congruence behind the difference formula: a block per (pair, n)."""
     pairs, ns = _pair_list(r), _int_list(r, "n", floor=2)
-    for a, b in pairs:
-        for n in ns:
-            mod_bits = n + nu2_int(a - b)
-            for k in _diff_ks(n):
-                params = {"a": a, "b": b, "n": n, "k": k, "mod_bits": mod_bits}
-                claim = ("Lem-DiffCongruence", "congruence", None)
-                yield params, claim, partial(check_diff_congruence, a, b, n, k)
+    for (a, b), n in itertools.product(pairs, ns):
+        yield (1 << n) - n - 1, partial(_diff_congruence_block, a, b, n)
+
+
+def _diff_congruence_block(a: int, b: int, n: int) -> _Block:
+    k = _diff_ks(n)
+    holds = [check_diff_congruence(a, b, n, kk) for kk in k.tolist()]
+    params = (a, b, n, k, n + nu2_int(a - b))
+    return _check_block("a b n k mod_bits", params, "Lem-DiffCongruence", "congruence", holds)
 
 
 _TARGETS: dict[str, _Target] = {
@@ -499,19 +698,17 @@ def _json_scalar(value: object) -> str:
     )
 
 
-_FIELDS = ("source", "claim_kind", "claim_value", "observed_kind", "observed_value", "verdict")
-_CHUNK = 512  # records converted at a time, so that their columns stay small
+def _csv_field(value: object) -> str:
+    return "" if value is None else str(value)
 
 
-def _chunks(records: list[CellRecord]) -> Iterator[list[CellRecord]]:
-    return (records[i : i + _CHUNK] for i in range(0, len(records), _CHUNK))
+_JSON_BY_TYPE = {int: int.__repr__, str: encode_basestring_ascii}
+_CSV_BY_TYPE = {int: int.__repr__, str: str}
+_SPAN = 1 << 14  # the most records whose texts are held at once
+_BATCH = 1 << 22  # characters of report text joined before they are appended
 
 
-def _field_columns(records: list[CellRecord]) -> list[list]:
-    return [list(map(attrgetter(name), records)) for name in _FIELDS]
-
-
-def _column(values: list, convert: Callable[[object], str], by_type: dict) -> Iterable[str]:
+def _list_texts(values: list, convert: Callable[[object], str], by_type: dict) -> list[str]:
     """convert(value) for each value.
 
     When every value has one exact type that by_type maps to a converter,
@@ -521,93 +718,201 @@ def _column(values: list, convert: Callable[[object], str], by_type: dict) -> It
     types = set(map(type, values))
     fast = by_type.get(types.pop()) if len(types) == 1 else None
     if fast is None:
-        return map(convert, values)
+        return list(map(convert, values))
     distinct = set(values)
-    return map(dict(zip(distinct, map(fast, distinct))).__getitem__, values)
+    return list(map(dict(zip(distinct, map(fast, distinct))).__getitem__, values))
 
 
-_JSON_BY_TYPE = {int: int.__repr__, str: encode_basestring_ascii}
-_CSV_BY_TYPE = {int: int.__repr__, str: str}
+class _Memo:
+    """fn(0), fn(1), fn(2), ... as an object array, grown on demand up to _MEMO_CAP entries."""
+
+    def __init__(self, fn: Callable[[int], object]) -> None:
+        self._fn = fn
+        self._values = np.empty(0, dtype=object)
+
+    def below(self, bound: int) -> np.ndarray:
+        if bound > self._values.size:
+            size = min(_MEMO_CAP, max(bound, 2 * self._values.size))
+            self._values = np.array(list(map(self._fn, range(size))), dtype=object)
+        return self._values
 
 
-def _csv_field(value: object) -> str:
-    return "" if value is None else str(value)
+_MEMO_CAP = 1 << 12  # small naturals, as k mostly is: larger ones are few per grid or sparse
+_DECIMALS = _Memo(int.__repr__)  # the texts of naturals, shared by the writers
+_INTS = _Memo(int)  # Python integers, one object per value, shared by the queries
 
 
-def _json_template(keys: tuple) -> str:
-    """%-template of one record of SweepReport.to_json whose params have these keys,
-    at the records list's indent: one %s per param value, then one per field."""
-    if keys:
-        # a key that is not a str raises TypeError here, as json.dumps would for the record
-        params = ",\n        ".join(
-            encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
-        )
-        params = f"{{\n        {params}\n      }}"
-    else:
-        params = "{}"
-    fields = ",\n".join(f'      "{name}": %s' for name in _FIELDS)
-    return f'{{\n      "params": {params},\n{fields}\n    }}'
+def _texts(column: object, span: slice, convert: Callable[[object], str], by_type: dict) -> str | list[str]:
+    """The texts of a column's entries in span: one str when they are all equal.
 
-
-def _json_records(records: list[CellRecord]) -> Iterator[str]:
-    """The records of SweepReport.to_json, one string per chunk of records.
-
-    Within a chunk, each run of records with one params layout is converted
-    a column (a param, or a field) at a time by _column, and each record is
-    one %-format of its layout's template.
+    An int64 column is written with int.__repr__, as both writers write an
+    int, and read off _DECIMALS where its entries are naturals below
+    _MEMO_CAP; a _Coded column is read off the texts of its labels.
     """
-    templates: dict[tuple, str] = {}
-    for chunk in _chunks(records):
-        out: list[str] = []
-        for keys, run in itertools.groupby(chunk, key=lambda rec: tuple(rec.params)):
-            if keys not in templates:
-                templates[keys] = _json_template(keys)
-            run = list(run)
-            params = list(map(attrgetter("params"), run))
-            columns = [list(map(itemgetter(key), params)) for key in keys] + _field_columns(run)
-            texts = [_column(values, _json_scalar, _JSON_BY_TYPE) for values in columns]
-            out.extend(map(templates[keys].__mod__, zip(*texts)))
-        yield ",\n    ".join(out)
+    if isinstance(column, _Coded):
+        codes = column.codes[span]
+        low, high = int(codes.min()), int(codes.max())
+        if low == high:
+            return convert(column.labels[low])
+        table = np.array(list(map(convert, column.labels[low : high + 1])), dtype=object)
+        return table[codes - low].tolist()
+    if isinstance(column, np.ndarray) and column.dtype != object:
+        values = column[span]
+        low, high = int(values.min()), int(values.max())
+        if low == high:
+            return int.__repr__(low)
+        if 0 <= low and high < _MEMO_CAP:
+            return _DECIMALS.below(high + 1)[values].tolist()
+        return list(map(int.__repr__, values.tolist()))
+    if isinstance(column, (list, np.ndarray)):
+        values = column[span] if isinstance(column, list) else column[span].tolist()
+        return _list_texts(values, convert, by_type)
+    return convert(column)
 
 
-@dataclass
+def _joined(pieces: list, sep: str, count: int, lead: str) -> str:
+    """lead, then count records joined by sep, each the concatenation of pieces:
+    a str is the same in every record, a list holds one str per record."""
+    parts = [""]  # literal, column, literal, ..., column, literal
+    for piece in pieces:
+        if isinstance(piece, str):
+            parts[-1] += piece
+        else:
+            parts += [piece, ""]
+    if len(parts) == 1:
+        return lead + sep.join(repeat(parts[0], count))
+    literals, columns = parts[0::2], parts[1::2]
+    stride = 2 * len(columns)
+    # literals[0], then per record: column 0, literal 1, column 1, ..., the last column and
+    # the text between two records; the last record ends with the last literal instead
+    flat = [literals[-1] + sep + literals[0]] * (stride * count + 1)
+    flat[0], flat[-1] = lead + literals[0], literals[-1]
+    for i, column in enumerate(columns):
+        flat[1 + 2 * i :: stride] = column
+        if i:
+            flat[2 * i :: stride] = [literals[i]] * count
+    return "".join(flat)
+
+
+def _json_pieces(block: _Block, span: slice) -> list:
+    """The pieces (see _joined) of the records in span of a block as SweepReport.to_json writes them."""
+    pieces = ['{\n      "params": {']
+    for i, (key, column) in enumerate(zip(block.keys, block.params)):
+        # a key that is not a str raises TypeError here, as json.dumps would for the record
+        name = encode_basestring_ascii(key)
+        text = _texts(column, span, _json_scalar, _JSON_BY_TYPE)
+        pieces += [(",\n        " if i else "\n        ") + name + ": ", text]
+    pieces.append("\n      }," if block.keys else "},")
+    for name, column in zip(_FIELDS, block.fields):
+        pieces += [f'\n      "{name}": ', _texts(column, span, _json_scalar, _JSON_BY_TYPE), ","]
+    pieces[-1] = "\n    }"
+    return pieces
+
+
+def _csv_pieces(columns: tuple[str, ...], block: _Block, span: slice) -> list:
+    """The pieces (see _joined) of the lines of the records in span of a block in SweepReport.to_csv."""
+    params = dict(zip(block.keys, block.params))
+    pieces: list = []
+    for column in [params.get(name, "") for name in columns]:
+        pieces += [_texts(column, span, str, _CSV_BY_TYPE), ","]
+    for column in block.fields:
+        pieces += [_texts(column, span, _csv_field, _CSV_BY_TYPE), ","]
+    return pieces[:-1]
+
+
+def _report(
+    head: str, blocks: list[_Block], pieces: Callable, sep: str, first: str, tail: str
+) -> str:
+    """head, first, the records of the blocks joined by sep, and tail.
+
+    The records are written at most _SPAN of a block at a time, from
+    pieces(block, span) (see _joined), and joined in batches of about
+    _BATCH characters; each batch past the first is appended to the text so
+    far.  CPython appends in place to a str that nothing else holds, and a
+    block that large grows in place, so a large report is held about once,
+    not twice as a list of its parts and their join hold it.
+    """
+    text, batch, size, lead = "", [head], len(head), first
+    for block in blocks:
+        for lo in range(0, block.size, _SPAN):
+            count = min(_SPAN, block.size - lo)
+            batch.append(_joined(pieces(block, slice(lo, lo + count)), sep, count, lead))
+            size, lead = size + len(batch[-1]), sep
+            if size >= _BATCH:
+                text += "".join(batch)
+                batch, size = [], 0
+    batch.append(tail)
+    text += "".join(batch)
+    return text
+
+
 class SweepReport:
-    """Deterministic sweep outcome; runtime metadata stays out of serialization."""
+    """Deterministic sweep outcome; runtime metadata stays out of serialization.
 
-    target: str
-    config: dict
-    columns: tuple[str, ...]
-    records: list[CellRecord]
-    engine: str = ENGINE_TAG
-    runtime_seconds: float | None = None
+    The cells are held as column blocks (see _Block), each with one params
+    layout; a list of CellRecord given as records is converted to blocks
+    once.  records reads as a sequence of CellRecord, each built from the
+    blocks when read; its length, summary, exit_code and cells(verdict)
+    read the blocks' columns and build no record they do not return.  The
+    writers read the blocks a column at a time.
+    """
+
+    def __init__(
+        self,
+        target: str,
+        config: dict,
+        columns: tuple[str, ...],
+        records: Iterable[CellRecord] = (),
+        engine: str = ENGINE_TAG,
+        runtime_seconds: float | None = None,
+        *,
+        blocks: list[_Block] | None = None,
+    ) -> None:
+        self.target = target
+        self.config = config
+        self.columns = columns
+        self.engine = engine
+        self.runtime_seconds = runtime_seconds
+        self.blocks = _blocks_of(records) if blocks is None else blocks
+
+    @property
+    def records(self) -> Sequence[CellRecord]:
+        return _Records(self.blocks)
 
     @property
     def summary(self) -> dict:
         counts = {v: 0 for v in VERDICT_ORDER}
-        for rec in self.records:
-            counts[rec.verdict] += 1
-        return {"cells": len(self.records), **counts}
+        for block in self.blocks:
+            for verdict, count in _verdict_counts(block.fields[-1], block.size).items():
+                if count:
+                    counts[verdict] += count
+        return {"cells": sum(block.size for block in self.blocks), **counts}
 
     @property
     def exit_code(self) -> int:
-        return verdict_exit_code({rec.verdict for rec in self.records})
+        summary = self.summary
+        return verdict_exit_code({v for v in VERDICT_ORDER if summary[v]})
 
-    def cells(self, verdict: str) -> list[CellRecord]:
-        return [rec for rec in self.records if rec.verdict == verdict]
+    def cells(self, *verdicts: str) -> list[CellRecord]:
+        """The records whose verdict is one of verdicts, in report order."""
+        out: list[CellRecord] = []
+        for block in self.blocks:
+            column = block.fields[-1]
+            if isinstance(column, _Coded):
+                wanted = [i for i, label in enumerate(column.labels) if label in verdicts]
+                out += _records(block, np.flatnonzero(np.isin(column.codes, wanted)))
+            elif isinstance(column, list):
+                out += _records(block, np.array([i for i, v in enumerate(column) if v in verdicts], dtype=np.intp))
+            elif column in verdicts:
+                out += _records(block)
+        return out
 
     def to_csv(self) -> str:
         """One line per record: its params at the report's columns ("" where a
         record has none), then the six claim fields, None written as ""."""
-        lines = [",".join([*self.columns, *_FIELDS])]
-        for chunk in _chunks(self.records):
-            params = list(map(attrgetter("params"), chunk))
-            columns = [
-                _column(list(map(dict.get, params, repeat(c), repeat(""))), str, _CSV_BY_TYPE)
-                for c in self.columns
-            ]
-            columns += [_column(values, _csv_field, _CSV_BY_TYPE) for values in _field_columns(chunk)]
-            lines.append("\n".join(map(",".join, zip(*columns))))
-        return "\n".join(lines) + "\n"
+        header = ",".join([*self.columns, *_FIELDS]) + "\n"
+        pieces = partial(_csv_pieces, self.columns)
+        return _report(header, self.blocks, pieces, "\n", "", "\n" if self.blocks else "")
 
     def to_json(self, include_runtime: bool = False) -> str:
         """The report as JSON, byte for byte what json.dumps(obj, indent=2)
@@ -616,7 +921,7 @@ class SweepReport:
         "runtime".
 
         The header goes through json.dumps; the records are written from
-        their fixed layout by _json_records, because json.dumps with an
+        their fixed layout by _json_pieces, because json.dumps with an
         indent runs the pure-Python encoder.  A record field or param value
         must be a str, int, float, bool or None, and a param key a str:
         anything else raises TypeError.
@@ -629,16 +934,14 @@ class SweepReport:
             "summary": self.summary,
         }
         # the header's own closing "\n}" comes after the records
-        parts = [json.dumps(header, indent=2)[:-2], ',\n  "records": ']
-        if self.records:
-            parts.append("[\n    " + ",\n    ".join(_json_records(self.records)) + "\n  ]")
-        else:
-            parts.append("[]")
+        head = json.dumps(header, indent=2)[:-2] + ',\n  "records": '
+        tail = "\n}\n"
         if include_runtime:
             seconds = _json_scalar(self.runtime_seconds)
-            parts.append(f',\n  "runtime": {{\n    "seconds": {seconds}\n  }}')
-        parts.append("\n}\n")
-        return "".join(parts)
+            tail = f',\n  "runtime": {{\n    "seconds": {seconds}\n  }}' + tail
+        if not self.blocks:
+            return head + "[]" + tail
+        return _report(head, self.blocks, _json_pieces, ",\n    ", "[\n    ", "\n  ]" + tail)
 
 
 def _config_echo(target: str, ranges: dict, policy: PrecisionPolicy) -> dict:
@@ -664,29 +967,79 @@ def _one_process(workers: int) -> None:
         raise DomainError(f"workers must be 1 (the process pool was removed), got {workers}")
 
 
-def _run_cells(cells: list[tuple], policy: PrecisionPolicy) -> list[CellRecord]:
-    """Evaluate and classify cells (params, claim, query), one record per
-    cell in the cells' order.
+def _column_list(column: object, size: int) -> Iterable:
+    """A query column's entries, int64 naturals below _MEMO_CAP and the values
+    of a _Coded column as shared int objects."""
+    if isinstance(column, _Coded):
+        return np.array(column.labels, dtype=object)[column.codes].tolist()
+    if not isinstance(column, np.ndarray):
+        return repeat(column, size)
+    if column.dtype != object and 0 <= column.min() and column.max() < _MEMO_CAP:
+        return _INTS.below(int(column.max()) + 1)[column].tolist()
+    return column.tolist()
 
-    Every valuation query goes to one valuations() call; exact checks run
-    inline, one cell at a time.
+
+def _folded(labels: tuple, codes: np.ndarray) -> object:
+    """The column of labels[codes]: the one label when every code is the same."""
+    codes = np.atleast_1d(codes)
+    return labels[codes[0]] if codes.min() == codes.max() else _Coded(labels, codes)
+
+
+def _cut(column: object, cut: slice) -> object:
+    return _Coded(column.labels, column.codes[cut]) if isinstance(column, _Coded) else column
+
+
+def _run_blocks(blocks: list[_Cells], policy: PrecisionPolicy) -> list[_Block]:
+    """Evaluate and classify blocks of valuation cells.
+
+    The queries of every block, zipped from their columns, go to one
+    valuations() call.  The observed valuations, the claims and the
+    verdicts are then each one column over all cells, cut into the blocks.
     """
-    vals = valuations((query for _, _, query in cells if not isinstance(query, partial)), policy)
-    records = []
-    for params, claim, query in cells:
-        if isinstance(query, partial):
-            records.append(_check_record(params, claim, query()))
-        else:
-            predict, *args = claim
-            records.append(_record(params, predict(*args), vals[query]))
-    return records
+    queries: list[tuple] = []
+    for block in blocks:
+        queries += zip(*(_column_list(column, block.size) for column in block.query))
+    vals = valuations(queries, policy)
+    observed = list(map(vals.__getitem__, queries))
+    del queries, vals
+    # valuations shares one Valuation per value, so the distinct objects are few
+    ids = np.fromiter(map(id, observed), dtype=np.uintp, count=len(observed))
+    _, first, index = np.unique(ids, return_index=True, return_inverse=True)
+    distinct = [observed[i] for i in first.tolist()]
+    index = index.astype(np.min_scalar_type(len(distinct)))
+    del observed, ids
+    value_labels = tuple(v.value for v in distinct)
+    observed_kind = np.array([_OBSERVED_KINDS.index(v.kind) for v in distinct], np.int8)[index]
+    observed_value = np.array([value or 0 for value in value_labels], np.int64)[index]
+
+    claim_kind = np.concatenate([np.broadcast_to(b.claims.kind, b.size) for b in blocks])
+    claim_value = np.concatenate([np.broadcast_to(b.claims.value, b.size) for b in blocks])
+    side = np.sign(observed_value - claim_value) + 1
+    verdict = _VERDICTS[claim_kind, observed_kind, side]
+
+    # a column that holds one value in every cell of the sweep is that value in every block
+    kinds, verdicts = _folded(_OBSERVED_KINDS, observed_kind), _folded(VERDICT_ORDER, verdict)
+    out = []
+    for block, end in zip(blocks, itertools.accumulate(block.size for block in blocks)):
+        cut, claims = slice(end - block.size, end), block.claims
+        fields = (
+            _folded(P.SOURCES, claims.source),
+            _folded(P.CLAIM_KINDS, claims.kind),
+            int(claims.value) if claims.value.ndim == 0 else claims.value,
+            _cut(kinds, cut),
+            _Coded(value_labels, index[cut]),
+            _cut(verdicts, cut),
+        )
+        out.append(_Block(block.keys, block.params, fields, block.size))
+    return out
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Run one sweep target over its grid and classify every cell.
 
-    The grid is counted by a lazy pass over its cells, before any engine
-    work, and refused when it has more than config.cell_cap cells.
+    The grid's cell count is summed from its blocks' closed-form counts,
+    before any block is built, and the grid is refused as soon as the sum
+    passes config.cell_cap.
     """
     _one_process(config.workers)
     if config.target not in _TARGETS:
@@ -696,17 +1049,24 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     if unknown:
         raise DomainError(f"unknown range parameter(s) for {config.target}: {sorted(unknown)}")
     ranges = {**target.defaults, **config.ranges}
-    cap = config.cell_cap
-    if sum(1 for _ in itertools.islice(target.cells(ranges), cap + 1)) > cap:
-        raise ResourceCapError(f"grid has more cells than the cap of {cap}")
+    plan, total = [], 0
+    for size, build in target.blocks(ranges):
+        total += size
+        if total > config.cell_cap:
+            raise ResourceCapError(f"grid has more cells than the cap of {config.cell_cap}")
+        if size:
+            plan.append(build)
     start = time.perf_counter()
-    records = _run_cells(list(target.cells(ranges)), config.policy)
+    built = [build() for build in plan]
+    cells = [block for block in built if isinstance(block, _Cells)]
+    evaluated = iter(_run_blocks(cells, config.policy) if cells else ())
+    blocks = [next(evaluated) if isinstance(block, _Cells) else block for block in built]
     return SweepReport(
         target=config.target,
         config=_config_echo(config.target, ranges, config.policy),
         columns=target.columns,
-        records=records,
         runtime_seconds=time.perf_counter() - start,
+        blocks=blocks,
     )
 
 
@@ -722,19 +1082,22 @@ def check_diff_congruence(a: int, b: int, n: int, k: int) -> bool:
                                                     (mod 2**(n + nu2(a-b)))
 
     for a > b >= 1 and 3 <= k <= 2**n.  Both sides are evaluated with exact
-    integers.  The congruence derives from the Bell-polynomial congruence
-    applied with shift (2b-a)*2**n, so it is only guaranteed for a <= 2b;
-    the check evaluates whatever it is given.
+    integers, read off the shared exact triangle.  The congruence derives
+    from the Bell-polynomial congruence applied with shift (2b-a)*2**n, so
+    it is only guaranteed for a <= 2b; the check evaluates whatever it is
+    given.
     """
     if b < 1 or a <= b:
         raise DomainError(f"need a > b >= 1, got a={a}, b={b}")
     if k < 3 or k > (1 << n):
         raise DomainError(f"need 3 <= k <= 2**n, got k={k}, n={n}")
     mod = 1 << (n + nu2_int(a - b))
-    lhs = stirling_exact(a << n, k) - stirling_exact(b << n, k)
+    table = stirling_exact_table(a << n, k)
+    base = b << n
+    lhs = table[a << n][k] - table[base][k]
     rhs = 0
     for i in range(1, -(-k // 2)):
-        rhs += math.comb((a - b) << n, i) * stirling_exact((b << n) - i, k - 2 * i)
+        rhs += math.comb((a - b) << n, i) * table[base - i][k - 2 * i]
     return (lhs - rhs) % mod == 0
 
 
@@ -745,20 +1108,19 @@ _SCANNER_COLUMNS = ("n", "m", "a", "b", "k", "arg_n1", "arg_n2")
 DEFAULT_SCANNER_POLICY = PrecisionPolicy(initial_bits=48, max_bits=8192)
 
 
-def _scan_cells(
-    ns: list[int], pairs: list[tuple[int, int]], wanted_m: list[int] | None
-) -> Iterator[tuple]:
-    for n in ns:
-        exp = n + 1  # cells use arguments a*2**(n+1); records echo them raw
-        for m in wanted_m or range(2, n + 1):
-            k = (1 << m) - 1
-            if k > 1 << n:
-                continue
-            for a, b in pairs:
-                n1, n2 = a << exp, b << exp
-                params = {"n": n, "m": m, "a": a, "b": b, "k": k, "arg_n1": n1, "arg_n2": n2}
-                claim = (P.predict_val_difference, a, b, exp, k)
-                yield params, claim, (n1, n2, k)
+def _scan_block(n: int, ms: list[int], pairs: list[tuple[int, int]]) -> _Cells:
+    """The cells of one n: for each m, every pair."""
+    exp = n + 1  # cells use arguments a*2**(n+1); records echo them raw
+    size = len(ms) * len(pairs)
+
+    def per_pair(values: list[int]) -> np.ndarray:
+        return np.tile(_exact(values), len(ms))
+
+    m, k = _runs(len(pairs), ms, [(1 << x) - 1 for x in ms])
+    a, b = per_pair([a for a, _ in pairs]), per_pair([b for _, b in pairs])
+    n1, n2 = per_pair([a << exp for a, _ in pairs]), per_pair([b << exp for _, b in pairs])
+    claims = P.predict_val_difference_columns(a, b, exp, _decoded(k))
+    return _cells("n m a b k arg_n1 arg_n2", (n, m, a, b, k, n1, n2), (n1, n2, k), claims, size)
 
 
 def scan_conjecture_mersenne(
@@ -774,7 +1136,7 @@ def scan_conjecture_mersenne(
     conjectured (n+1) + 1 + nu2(a-b) for every k = 2**m - 1 <= 2**n.  The
     record echoes the raw Stirling arguments so either indexing convention
     can be re-derived.  Mismatches are conjecture deviations, never
-    violations: this case is open.
+    violations: this case is open.  The cells of each n are one block.
     """
     _one_process(workers)
     policy = policy or DEFAULT_SCANNER_POLICY
@@ -782,7 +1144,11 @@ def scan_conjecture_mersenne(
     ns, pair_list = _int_list(ranges, "n", floor=2), _pair_list(ranges)
     wanted_m = None if m_values is None else _int_list(ranges, "m", floor=2)
     start = time.perf_counter()
-    records = _run_cells(list(_scan_cells(ns, pair_list, wanted_m)), policy)
+    cells = []
+    for n in ns:
+        ms = [m for m in wanted_m or range(2, n + 1) if (1 << m) - 1 <= 1 << n]
+        if ms and pair_list:
+            cells.append(_scan_block(n, ms, pair_list))
     config = {
         "target": "conjecture-mersenne",
         "ranges": {
@@ -796,8 +1162,8 @@ def scan_conjecture_mersenne(
         target="conjecture-mersenne",
         config=config,
         columns=_SCANNER_COLUMNS,
-        records=records,
         runtime_seconds=time.perf_counter() - start,
+        blocks=_run_blocks(cells, policy) if cells else [],
     )
 
 
@@ -817,8 +1183,9 @@ def cross_validate(
     violated iff any k disagrees (the first offending k is echoed).  Each
     precision makes one recurrence pass and one explicit row sequence over
     n <= n_max, compared row by row with the exact rows, which are read
-    once.  Inputs past the exact engine's cap, the explicit rows' cap on
-    k_max, or below 1 bit are refused before any work.
+    once; its records are one block.  Inputs past the exact engine's cap,
+    the explicit rows' cap on k_max, or below 1 bit are refused before any
+    work.
     """
     _one_process(workers)
     if n_max < 0 or k_max < 0:
@@ -830,28 +1197,31 @@ def cross_validate(
     # the explicit rows check k_max and bits at the call, before their first row
     explicit = {bits: stirling_explicit_rows_mod2(n_max, k_max, bits) for bits in bits_values}
     exact = stirling_exact_rows(n_max, k_max)
-    records = []
+    n = np.arange(n_max + 1)
+    tops = np.minimum(n, k_max)  # the last k of each row
+    blocks = []
     for bits in bits_values:
         rows = stirling_rows_mod2(range(n_max + 1), k_max, bits)
         mask = (1 << bits) - 1
-        for n, explicit_row in enumerate(explicit[bits]):
-            expected = list(map(mask.__and__, exact[n]))
-            top = len(expected) - 1  # min(n, k_max)
-            first_bad: int | None = None
-            if rows[n][: top + 1] != expected or explicit_row[: top + 1] != expected:
-                first_bad = next(
-                    k
-                    for k, (e, r, x) in enumerate(zip(expected, rows[n], explicit_row))
-                    if r != e or x != e
+        first_bad: list[int | str] = []
+        for i, (explicit_row, exact_row) in enumerate(zip(explicit[bits], exact)):
+            row, expected = rows[i], list(map(mask.__and__, exact_row))
+            top = len(expected)
+            if row[:top] != expected or explicit_row[:top] != expected:
+                first_bad.append(
+                    next(
+                        k
+                        for k, (e, r, x) in enumerate(zip(expected, row, explicit_row))
+                        if r != e or x != e
+                    )
                 )
-            params = {
-                "bits": bits,
-                "n": n,
-                "k_max": top,
-                "first_mismatch": "" if first_bad is None else first_bad,
-            }
-            ok = first_bad is None
-            records.append(_bool_record(params, "Id-CrossEngine", "agreement", ok))
+            else:
+                first_bad.append("")
+        holds = [bad == "" for bad in first_bad]
+        params = (bits, n, tops, first_bad)
+        blocks.append(
+            _check_block("bits n k_max first_mismatch", params, "Id-CrossEngine", "agreement", holds)
+        )
     config = {
         "target": "cross-validate",
         "ranges": {"n_max": n_max, "k_max": k_max, "bits": bits_values},
@@ -861,6 +1231,6 @@ def cross_validate(
         target="cross-validate",
         config=config,
         columns=("bits", "n", "k_max", "first_mismatch"),
-        records=records,
         runtime_seconds=time.perf_counter() - start,
+        blocks=blocks,
     )

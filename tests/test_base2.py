@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from stirling2adic.base2 import (
     Valuation,
     brute_force_J,
     ceil_log2,
+    ceil_log2_column,
     count_J,
     delta_conjecture,
     digit_additive,
@@ -16,10 +19,13 @@ from stirling2adic.base2 import (
     legendre_factorial_val,
     mersenne_power_val,
     nu2,
+    nu2_column,
     nu2_int,
     s2,
+    s2_column,
     s2_scaled_difference,
     theta,
+    theta_column,
 )
 from stirling2adic.errors import DomainError, ResourceCapError
 
@@ -293,3 +299,29 @@ class TestBinaryProfile:
         if p.theta < p.s2:
             assert p.exponents[p.theta] <= top - p.theta - 1
         assert p.ceil_log2 == ceil_log2(value)
+
+
+class TestColumnForms:
+    # below 2**53, where bit lengths come from numpy.frexp; above, where they come by binary search;
+    # and exact Python integers past int64
+    VALUES = [1, 2, 3, 4, 7, 8, 12, 255, 256, 2**31 + 5, 2**52 + 1, 2**53 - 1, 2**53, 2**53 + 3,
+              2**62 + 2**61, 2**63 - 1]
+
+    @pytest.mark.parametrize(
+        "column, scalar",
+        [(s2_column, s2), (nu2_column, nu2_int), (ceil_log2_column, ceil_log2), (theta_column, theta)],
+    )
+    def test_entry_for_entry(self, column, scalar):
+        rng = random.Random(5)
+        values = self.VALUES + [rng.randrange(1, 2**63) for _ in range(300)]
+        assert column(np.array(values, dtype=np.int64)).tolist() == [scalar(v) for v in values]
+        huge = [2**70 + 3, 2**64, 3 * 2**80]
+        assert column(np.array(huge, dtype=object)).tolist() == [scalar(v) for v in huge]
+
+    @pytest.mark.parametrize(
+        "column, bad", [(s2_column, -1), (nu2_column, 0), (ceil_log2_column, 0), (theta_column, 0)]
+    )
+    def test_domain(self, column, bad):
+        for dtype in (np.int64, object):
+            with pytest.raises(DomainError):
+                column(np.array([5, bad], dtype=dtype))

@@ -1,11 +1,7 @@
 import hashlib
 import json
-import os
 import re
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -14,7 +10,7 @@ from stirling2adic.base2 import nu2_int
 from stirling2adic.cli import main, parse_int_list, parse_pairs
 from stirling2adic.engine import stirling_explicit_mod2
 from stirling2adic.errors import DomainError
-from stirling2adic.verify import cross_validate, sweep_targets
+from stirling2adic.verify import SweepConfig, cross_validate, run_sweep, sweep_targets
 
 # SHA-256 of `check-identities --format json` at its defaults
 CHECK_IDENTITIES_JSON_SHA256 = "89b88ad9d612f92787ab20165ef72e33b6af40193c3817c5d78b40ef5e425cdb"
@@ -123,15 +119,15 @@ class TestDiff:
         assert (code, out) == (70, "")
         assert "resource cap" in err
 
-    def test_pass_of_64_bits_is_not_capped(self):
-        # in a fresh process, as the console script runs it: jump bands cached for wider rows
-        # earlier in this process would cut the row's jumps to 64 steps or fewer, and its
-        # 3 * 2**32 steps would then take about 25 minutes
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-        argv = [sys.executable, "-m", "stirling2adic.cli", "diff", "3", "1", "32", "5"]
-        proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
-        assert proc.returncode == 0
-        assert proc.stdout.startswith("nu2(S(12884901888,5) - S(4294967296,5)) = 32\n")
+    def test_pass_of_64_bits_is_not_capped(self, capsys):
+        # right after a wide row pass: the thm-diagonal sweep leaves the uint32 lane's bands
+        # cached at width 3,585, and the 6-wide row of 3 * 2**32 steps still jumps far
+        run_sweep(SweepConfig("thm-diagonal"))
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "diff", "3", "1", "32", "5")
+        assert time.perf_counter() - start < 0.1
+        assert code == 0
+        assert out.startswith("nu2(S(12884901888,5) - S(4294967296,5)) = 32\n")
 
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "diff", "3", "1", "5", "7", "--format", "json")

@@ -167,6 +167,17 @@ class TestRowEngine:
             with pytest.raises(ResourceCapError, match=f" {steps} lane-steps"):
                 stirling_rows_mod2(ns, k_max, bits)
 
+    def test_object_lane_pass_is_weighed_by_its_cost(self):
+        # 10**6 steps at width 257 and 128 bits plan about 1.0e9 lane-steps, a pass of about 30 s in
+        # the object lane; weighed by its cost it is refused, while the same pass at 64 bits runs
+        columns = {10**6: [0, 1, 3, 4, 63, 256]}
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError, match="lane-steps"):
+            stirling_rows_mod2([10**6], 256, 128, columns)
+        assert time.perf_counter() - start < 0.1
+        row = stirling_rows_mod2([10**6], 256, 64, columns)[10**6]
+        assert row[:2] == [0, 1]
+
     @pytest.mark.parametrize(
         "columns",
         [{5: [-1]}, {5: [1, 4]}, {7: [1]}],
@@ -186,12 +197,14 @@ class TestRowEngine:
 
 
 def planned_lane_steps(ns, k_max, bits, count):
-    """Band entries read by the jumps with count bands, taken one at a time, times 32-bit words."""
+    """Band entries read by the jumps with count bands, taken one at a time, times 32-bit words,
+    each weighted by what it costs in the object lane above 64 bits."""
     width, total, n = k_max + 1, 0, 0
+    weight = engine._OBJECT_WORD_WEIGHT if bits > 64 else 1
     for target in sorted(ns):
         while n < target:
             e = min((target - n).bit_length(), count) - 1
-            total += (min(1 << e, width - 1) + 1) * width * -(-bits // 32)
+            total += (min(1 << e, width - 1) + 1) * width * -(-bits // 32) * weight
             n += 1 << e
     return total
 

@@ -4,7 +4,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pinned_cells import (
@@ -13,11 +13,11 @@ from pinned_cells import (
     congruence_residue,
     stirling2,
 )
-from stirling2adic import engine, verify
-from stirling2adic.base2 import Valuation
-from stirling2adic.engine import PrecisionPolicy, stirling_exact
+from stirling2adic import engine, predictors, verify
+from stirling2adic.base2 import Valuation, s2
+from stirling2adic.engine import PrecisionPolicy, stirling_exact, valuations
 from stirling2adic.errors import DomainError, ResourceCapError
-from stirling2adic.predictors import CONJECTURAL_EQUALITY, EQUALITY, LOWER_BOUND
+from stirling2adic.predictors import CONJECTURAL_EQUALITY, EQUALITY, LOWER_BOUND, Prediction
 from stirling2adic.verify import (
     CONFIRMED,
     CONJECTURE_DEVIATION,
@@ -122,17 +122,33 @@ class TestRunSweep:
         report = run_sweep(SweepConfig("lengyel-eq", {"n": [1, 2, 3]}, cell_cap=4 * 14))
         assert report.summary["cells"] == 4 * 14
 
-    def test_cell_cap_holds_before_any_work(self, monkeypatch):
-        # 4 * 2**60 cells: counted lazily up to the cap, nothing evaluated or listed
+    @pytest.mark.parametrize(
+        "target, ranges",
+        [
+            ("lengyel-eq", {"n": [60]}),
+            ("thm-lower", {"n": [40]}),
+            ("thm-diagonal", {"n": [40]}),
+            ("thm-shifted-triple", {"n": [30]}),
+            ("thm-difference", {"n": [30]}),
+            ("lem-shifted-power", {"n": [4_000_000]}),
+            ("lem-theta", {"n": [40]}),
+            ("junod", {"m": list(range(3001)), "n": list(range(1, 3001))}),
+            ("identities", {"conv_n": [10**7], "conv_m": [1]}),
+            ("count-J", {"n": [23]}),
+            ("diff-congruence", {"n": [30]}),
+        ],
+    )
+    def test_cell_cap_holds_before_any_work(self, monkeypatch, target, ranges):
+        # the cells are counted from each block's closed-form count: nothing evaluated or listed
         def fail(*args, **kwargs):
             raise AssertionError("work started on a grid over the cap")
 
         monkeypatch.setattr(engine, "stirling_rows_mod2", fail)
-        monkeypatch.setattr(verify, "_run_cells", fail)
+        monkeypatch.setattr(verify, "_run_blocks", fail)
         start = time.process_time()
         with pytest.raises(ResourceCapError):
-            run_sweep(SweepConfig("lengyel-eq", {"n": [60]}))
-        assert time.process_time() - start < 15
+            run_sweep(SweepConfig(target, ranges))
+        assert time.process_time() - start < 0.1
 
     def test_even_c_rejected_where_oddness_matters(self):
         with pytest.raises(DomainError):
@@ -507,6 +523,195 @@ class TestScanner:
             scan_conjecture_mersenne([1], [(2, 1)])
         with pytest.raises(DomainError):
             scan_conjecture_mersenne([3], [(1, 1)])
+
+
+# The cells of each valuation target and of the scanner, one at a time, in report order:
+# (params, the scalar predictor's claim, the query (n1, n2, k)).
+
+
+def _reference_lengyel(r):
+    for n in sorted(set(r["n"])):
+        for c in sorted(set(r["c"])):
+            for k in range(1, (1 << n) + 1):
+                claim = Prediction(EQUALITY, s2(k) - 1, predictors.SRC_LEM_LENGYEL_EQ)
+                yield {"n": n, "c": c, "k": k, "N": c << n}, claim, (c << n, None, k)
+
+
+def _reference_lower(r):
+    for n in sorted(set(r["n"])):
+        for c in sorted(set(r["c"])):
+            for k in range(1, (c << n) + 1):
+                a, b = k % (2 << n), k // (2 << n)
+                if a:
+                    claim = Prediction(LOWER_BOUND, s2(a) - 1, predictors.SRC_THM_LOWER_BOUND)
+                    params = {"n": n, "c": c, "b": b, "a": a, "k": k, "N": c << n}
+                    yield params, claim, (c << n, None, k)
+
+
+def _reference_diagonal(r):
+    for n in sorted(set(r["n"])):
+        for c in sorted(set(r["c"])):
+            for a in range(1, (1 << n) + 1):
+                k = (c - 1) * 2**n + a
+                claim = Prediction(EQUALITY, s2(a) - 1, predictors.SRC_THM_DIAGONAL)
+                yield {"n": n, "c": c, "a": a, "k": k, "N": c << n}, claim, (c << n, None, k)
+
+
+def _reference_triple(r):
+    for n in sorted(set(r["n"])):
+        for b in sorted(set(r["b"])):
+            for off in sorted(set(r["m_offsets"])):
+                m = n + 2 + (b.bit_length() - 1) + off
+                for c in sorted(set(r["c"])):
+                    big_n = c * 2**m + b * 2 ** (n + 1) + 2**n
+                    for a in range(1, 2 ** (n + 1)):
+                        k = b * 2 ** (n + 2) + a
+                        claim = predictors.predict_val_shifted_triple(c, m, b, n, a)
+                        params = {"n": n, "b": b, "m": m, "c": c, "a": a, "k": k, "N": big_n}
+                        yield params, claim, (big_n, None, k)
+
+
+def _reference_difference(r):
+    for a, b in sorted(set(map(tuple, r["pairs"]))):
+        for n in sorted(set(r["n"])):
+            for k in range(3, 2**n + 1):
+                if k & (k + 1):
+                    claim = predictors.predict_val_difference(a, b, n, k)
+                    params = {"a": a, "b": b, "n": n, "k": k, "N1": a << n, "N2": b << n}
+                    yield params, claim, (a << n, b << n, k)
+
+
+def _reference_shifted_power(r):
+    for c in sorted(set(r["c"])):
+        for n in sorted(set(r["n"])):
+            for m in range(n):
+                big_n = c * 2**n + 2**m
+                claim = predictors.predict_val_shifted_power(c, n, m)
+                yield {"c": c, "n": n, "m": m, "N": big_n, "k": 2**n}, claim, (big_n, None, 2**n)
+
+
+def _reference_theta(r):
+    for c in sorted(set(r["c"])):
+        for n in sorted(set(r["n"])):
+            for k in range(3, 2**n + 1):
+                if k & (k - 1) == 0 or k & (k + 1) == 0:
+                    continue
+                for a in range(1, -(-k // 2)):
+                    claim = predictors.predict_val_theta(c, n, a, k)
+                    arg_n, arg_k = c * 2**n - a, k - 2 * a
+                    params = {"c": c, "n": n, "k": k, "a": a, "arg_n": arg_n, "arg_k": arg_k}
+                    yield params, claim, (arg_n, None, arg_k)
+
+
+def _reference_scan(ns, pairs, ms):
+    for n in sorted(set(ns)):
+        for m in sorted(set(ms)) if ms else range(2, n + 1):
+            k = 2**m - 1
+            if k <= 2**n:
+                for a, b in sorted(set(pairs)):
+                    claim = predictors.predict_val_difference(a, b, n + 1, k)
+                    n1, n2 = a << (n + 1), b << (n + 1)
+                    params = {"n": n, "m": m, "a": a, "b": b, "k": k, "arg_n1": n1, "arg_n2": n2}
+                    yield params, claim, (n1, n2, k)
+
+
+def reference_records(cells, policy):
+    """The records of the cells, one at a time: the scalar predictor's claim, the one
+    valuations routine on the queries as tuples, and the scalar classify."""
+    cells = list(cells)
+    observed = valuations([query for _, _, query in cells], policy)
+    return [
+        CellRecord(
+            params,
+            claim.source,
+            claim.kind,
+            claim.value,
+            observed[query].kind,
+            observed[query].value,
+            classify(claim.kind, claim.value, observed[query]),
+        )
+        for params, claim, query in cells
+    ]
+
+
+def assert_same_report(got, cells, policy):
+    """got, field by field and in its JSON and CSV text, against the reference records."""
+    want = reference_records(cells, policy)
+    assert len(got.records) == len(want)
+    assert list(got.records) == want
+    assert [list(rec.params) for rec in got.records] == [list(rec.params) for rec in want]
+    for verdict in verify.VERDICT_ORDER:
+        assert got.cells(verdict) == [rec for rec in want if rec.verdict == verdict]
+    assert got.exit_code == verify.verdict_exit_code({rec.verdict for rec in want})
+    reference = SweepReport(got.target, got.config, got.columns, want)
+    assert_same_text(got.to_json(), reference_json(reference, False))
+    assert_same_text(got.to_csv(), reference_csv(reference))
+
+
+def _subset(values, max_size=3):
+    return st.lists(st.sampled_from(values), min_size=1, max_size=max_size, unique=True)
+
+
+_odd = [1, 3, 5, 7]
+_pairs = _subset([(a, b) for a in range(2, 9) for b in range(1, a)])
+# small ladders reach at-least observations, so every verdict path is taken
+_policy = st.sampled_from([PrecisionPolicy(), PrecisionPolicy(1, 2), PrecisionPolicy(2, 4), PrecisionPolicy(3, 3)])
+_REFERENCE = {
+    "lengyel-eq": (_reference_lengyel, st.fixed_dictionaries({"n": _subset(range(7)), "c": _subset(range(1, 10))})),
+    "thm-lower": (_reference_lower, st.fixed_dictionaries({"n": _subset(range(6)), "c": _subset(_odd)})),
+    "thm-diagonal": (_reference_diagonal, st.fixed_dictionaries({"n": _subset(range(2, 7)), "c": _subset(_odd)})),
+    "thm-shifted-triple": (
+        _reference_triple,
+        st.fixed_dictionaries(
+            {
+                "n": _subset(range(1, 4)),
+                "b": _subset(range(1, 6)),
+                "c": _subset(_odd, 2),
+                "m_offsets": _subset(range(3), 2),
+            }
+        ),
+    ),
+    "thm-difference": (_reference_difference, st.fixed_dictionaries({"n": _subset(range(2, 7)), "pairs": _pairs})),
+    "lem-shifted-power": (_reference_shifted_power, st.fixed_dictionaries({"c": _subset(_odd), "n": _subset(range(1, 9))})),
+    "lem-theta": (_reference_theta, st.fixed_dictionaries({"c": _subset(_odd, 2), "n": _subset(range(2, 7))})),
+}
+
+
+class TestColumnPath:
+    """The column path of every valuation target and of the scanner against a per-cell reference."""
+
+    def test_every_valuation_target_has_a_reference(self):
+        exact_checks = {"junod", "identities", "count-J", "diff-congruence"}
+        assert set(_REFERENCE) == set(sweep_targets()) - exact_checks
+
+    @given(st.data(), _policy)
+    @settings(deadline=None, max_examples=60)
+    def test_sweeps(self, data, policy):
+        target = data.draw(st.sampled_from(sorted(_REFERENCE)))
+        cells, ranges = _REFERENCE[target]
+        ranges = data.draw(ranges)
+        assert_same_report(run_sweep(SweepConfig(target, ranges, policy)), cells(ranges), policy)
+
+    @pytest.mark.parametrize(
+        "target, ranges",
+        [
+            ("lem-shifted-power", {"c": [2**70 + 1], "n": [2, 3]}),
+            ("thm-shifted-triple", {"c": [2**66 + 1], "n": [1], "b": [1], "m_offsets": [0]}),
+        ],
+    )
+    def test_parameters_past_int64(self, target, ranges):
+        policy = PrecisionPolicy()
+        cells, _ = _REFERENCE[target]
+        report = run_sweep(SweepConfig(target, ranges, policy))
+        assert any(value >= 2**63 for rec in report.records for value in rec.params.values())
+        assert_same_report(report, cells(ranges), policy)
+
+    @given(_subset(range(2, 7)), _pairs, st.none() | _subset(range(2, 7)), _policy)
+    @settings(deadline=None, max_examples=20)
+    @example([2, 3], [(2**70 + 1, 1)], None, PrecisionPolicy())
+    def test_scanner(self, ns, pairs, ms, policy):
+        report = scan_conjecture_mersenne(ns, pairs, ms, policy)
+        assert_same_report(report, _reference_scan(ns, pairs, ms), policy)
 
 
 class TestCrossValidate:
