@@ -1,4 +1,10 @@
+import hashlib
+import itertools
+import json
+
 import pytest
+
+from stirling2adic import predictors
 
 from stirling2adic.base2 import ceil_log2, is_power_of_two, nu2_int, s2
 from stirling2adic.engine import stirling_exact, val_stirling, val_stirling_difference
@@ -257,3 +263,63 @@ class TestPredictionType:
             Prediction(NOT_APPLICABLE, 2, SRC_THM_DIFFERENCE)
         with pytest.raises(DomainError):
             Prediction("weird", 1, SRC_THM_DIFFERENCE)
+
+
+def _answer(out) -> list | int:
+    if isinstance(out, Prediction):
+        return [out.kind, out.value, out.source, dict(out.params)]
+    return [_answer(p) for p in out] if isinstance(out, list) else out
+
+
+class TestScalarBytes:
+    """The SHA-256 of what each scalar predictor answers, one JSON line per
+    input: (kind, value, source, params) of each claim, or "refused" where it
+    raises DomainError.  A refactor of the predictors must keep these bytes."""
+
+    PREDICT_VAL_SHA256 = "e8e93ee0116962b985f41020c4b59296eefdfa094f62965523f6c61bec09e912"
+    # each box reaches past the statement's hypotheses on every side (n >= 0 where
+    # 1 << n would raise ValueError before any hypothesis is checked)
+    BOXES = {
+        "predict_val_shifted_power": (
+            (range(-1, 6), range(-2, 8), range(-2, 8)),
+            "1c68c982b8105ae86591008f4836fc1ead05cbd746ddc20f203c90ee19c4df87",
+        ),
+        "predict_val_shifted_triple": (
+            (range(-1, 5), range(-1, 10), range(-1, 6), range(-1, 4), range(-1, 18)),
+            "d29a9a5562767b2bb51ba009e06b1502c3d2f12e84d5857b4e50466c82867256",
+        ),
+        "predict_val_difference": (
+            (range(-1, 7), range(-1, 7), range(0, 6), range(-1, 36)),
+            "2fc7261fe5b80749b851d94b48f1257c4a2b9c6f5ec8f0ba990d4f24a52aec57",
+        ),
+        "predict_val_theta": (
+            (range(-1, 5), range(0, 7), range(-1, 14), range(-1, 44)),
+            "653b3324ff3a2b7023971697477ac56146e5cf84d31bd195e643461187916efb",
+        ),
+        "f_conjectured": (
+            (range(-3, 300),),
+            "f9af85917feba3325c2e72d0890601ed8fab25fa87d774bdcdad9f3cb6728414",
+        ),
+    }
+
+    def test_predict_val(self):
+        lines = (
+            json.dumps(_answer(predict_val(big_n, k)))
+            for big_n in range(2, 257)
+            for k in range(1, big_n + 1)
+        )
+        text = "".join(line + "\n" for line in lines)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PREDICT_VAL_SHA256
+
+    @pytest.mark.parametrize("name", sorted(BOXES))
+    def test_box(self, name):
+        box, sha256 = self.BOXES[name]
+        predictor = getattr(predictors, name)
+        lines = []
+        for args in itertools.product(*box):
+            try:
+                answer = _answer(predictor(*args))
+            except DomainError:
+                answer = "refused"
+            lines.append(json.dumps([list(args), answer]))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == sha256
