@@ -29,3 +29,9 @@ check 70 '' diff 3 1 33 1000
 check 0 'n,c,k,N,source,claim_kind,claim_value,observed_kind,observed_value,verdict' sweep lengyel-eq --range n=1..3 --format csv
 # 4 * 2**60 cells: refused from the blocks' closed-form counts before any is built (exit 70, nothing on stdout)
 check 70 '' sweep lengyel-eq --range n=60
+# each statement's column path from the installed package: the shared formulas of the predictors
+check 0 'c,n,k,a,arg_n,arg_k,source,claim_kind,claim_value,observed_kind,observed_value,verdict' sweep lem-theta --range n=3..4 --format csv
+check 0 'n,b,m,c,a,k,N,source,claim_kind,claim_value,observed_kind,observed_value,verdict' sweep thm-shifted-triple --range n=1..2 --range b=1..2 --format csv
+check 0 'c,n,m,N,k,source,claim_kind,claim_value,observed_kind,observed_value,verdict' sweep lem-shifted-power --range n=1..3 --format csv
+# exit 2 on the pinned A05 cells, where the difference formula fails
+check 2 'a,b,n,k,N1,N2,source,claim_kind,claim_value,observed_kind,observed_value,verdict' sweep thm-difference --range n=2..3 --format csv

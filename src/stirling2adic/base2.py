@@ -1,21 +1,25 @@
 """Bit-level integer arithmetic underlying the Stirling valuation formulas.
 
 Everything here is exact and pure: 2-adic valuations, binary digit sums,
-and the closed-form digit identities (Legendre, Kummer, carry-free digit
-additivity, the J-set cardinality, the top-run statistic theta, and the
-delta correction term of the difference-valuation formula).
+and the closed-form digit identities (Legendre, Kummer, the J-set
+cardinality, the top-run statistic theta, and the delta correction term of
+the difference-valuation formula).
 
 All inputs are machine-scale integers; arbitrary-precision Stirling values
-live in :mod:`stirling2adic.engine`.  The column forms (``s2_column`` and
-the like) apply a scalar function to every entry of a numpy array, for the
-sweeps' blocks of cells.
+live in :mod:`stirling2adic.engine`.  The functions the predictors use (s2,
+nu2_int, ceil_log2, is_power_of_two, theta, delta_conjecture and select)
+take a Python int or a numpy column of integers alike, and give an int or a
+column of the same shape.  They are written with operators that numpy and
+int share (&, >>, +, comparisons) over two primitives that dispatch on the
+type, bit_length and s2: an int body, a whole-array body for int64 columns,
+and one entry at a time for any other column, such as object arrays of
+Python integers past int64.  A domain check on a column fails if any entry
+fails it.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -26,25 +30,22 @@ __all__ = [
     "AT_LEAST",
     "INFINITE",
     "Valuation",
-    "BinaryProfile",
     "nu2",
     "nu2_int",
     "s2",
+    "bit_length",
     "ceil_log2",
     "is_power_of_two",
+    "select",
+    "holds",
     "legendre_factorial_val",
     "kummer_binomial_val",
-    "digit_additive",
     "s2_scaled_difference",
     "count_J",
     "brute_force_J",
     "mersenne_power_val",
     "theta",
     "delta_conjecture",
-    "s2_column",
-    "nu2_column",
-    "ceil_log2_column",
-    "theta_column",
 ]
 
 FINITE = "finite"
@@ -117,12 +118,78 @@ class Valuation:
         return "inf"
 
 
-def nu2_int(x: int) -> int:
-    """2-adic order of a nonzero integer (sign ignored)."""
-    if x == 0:
-        raise DomainError("nu2_int is undefined at 0; use nu2")
-    x = abs(x)
-    return (x & -x).bit_length() - 1
+# ---------------------------------------------------------------------------
+# on ints and on columns
+
+
+def holds(cond) -> bool:
+    """Whether cond holds: a bool, or every entry of a boolean column."""
+    return cond if isinstance(cond, bool) else bool(cond.all())
+
+
+def _require(cond, message: str) -> None:
+    if cond is not True and not holds(cond):
+        raise DomainError(message)
+
+
+def select(cond, yes, no):
+    """yes where cond holds, else no: on a bool, or entry for entry (numpy.where).
+
+    Both yes and no are evaluated, so each must be defined wherever it is not chosen.
+    """
+    if isinstance(cond, bool):
+        return yes if cond else no
+    return np.where(cond, yes, no)
+
+
+def _per_entry(x: np.ndarray, fn) -> np.ndarray:
+    """fn of each entry of a column that is not int64, as exact Python integers."""
+    values = [fn(v) for v in x.ravel().tolist()]
+    return np.array(values, dtype=object).reshape(x.shape)
+
+
+def bit_length(x):
+    """int.bit_length of x, or of each entry of a column.
+
+    An int64 column takes the exponent numpy.frexp gives, exact below 2**53,
+    and by binary search above that; its entries must be naturals below 2**63.
+    """
+    if isinstance(x, int):
+        return x.bit_length()
+    x = np.asarray(x)
+    if x.dtype != np.int64:
+        return _per_entry(x, int.bit_length)
+    if not x.size or x.max() < 1 << 53:
+        return np.frexp(x)[1].astype(np.int64)
+    out = np.zeros(x.shape, dtype=np.int64)
+    for shift in (32, 16, 8, 4, 2, 1):
+        high = x >> shift != 0
+        out += high * shift
+        x = np.where(high, x >> shift, x)
+    return out + (x != 0)
+
+
+_BYTE_S2 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+
+def s2(x):
+    """Number of ones in the binary expansion of a natural number, or of each
+    entry of a column: an int64 column sums a byte table over its 8 bytes
+    (numpy.bitwise_count needs numpy 2)."""
+    _require(x >= 0, "s2 needs x >= 0")
+    if isinstance(x, int):
+        return x.bit_count()
+    x = np.asarray(x)
+    if x.dtype != np.int64:
+        return _per_entry(x, int.bit_count)
+    octets = np.ascontiguousarray(x).reshape(-1).view(np.uint8).reshape(x.shape + (8,))
+    return _BYTE_S2[octets].sum(axis=-1, dtype=np.int64)
+
+
+def nu2_int(x):
+    """2-adic order of a nonzero integer (sign ignored), or of each entry of a column."""
+    _require(x != 0, "nu2_int is undefined at 0; use nu2")
+    return bit_length(x & -x) - 1
 
 
 def nu2(x: int) -> Valuation:
@@ -132,22 +199,14 @@ def nu2(x: int) -> Valuation:
     return Valuation.finite(nu2_int(x))
 
 
-def s2(x: int) -> int:
-    """Number of ones in the binary expansion of a natural number."""
-    if x < 0:
-        raise DomainError(f"s2 needs x >= 0, got {x}")
-    return x.bit_count()
+def is_power_of_two(x):
+    return (x >= 1) & ((x & (x - 1)) == 0)
 
 
-def is_power_of_two(x: int) -> bool:
-    return x >= 1 and (x & (x - 1)) == 0
-
-
-def ceil_log2(x: int) -> int:
-    """Exact ceil(log2(x)) for x >= 1, by bit length only."""
-    if x < 1:
-        raise DomainError(f"ceil_log2 needs x >= 1, got {x}")
-    return x.bit_length() - 1 if is_power_of_two(x) else x.bit_length()
+def ceil_log2(x):
+    """Exact ceil(log2(x)) for x >= 1: the bit length of x - 1."""
+    _require(x >= 1, "ceil_log2 needs x >= 1")
+    return bit_length(x - 1)
 
 
 def legendre_factorial_val(n: int) -> int:
@@ -166,13 +225,6 @@ def kummer_binomial_val(n: int, k: int) -> int:
     if k < 0 or n < 0 or k > n:
         raise DomainError(f"need 0 <= k <= n, got n={n}, k={k}")
     return s2(k) + s2(n - k) - s2(n)
-
-
-def digit_additive(m: int, n: int) -> bool:
-    """True iff s2(m+n) = s2(m) + s2(n), i.e. the addition is carry-free."""
-    if m < 0 or n < 0:
-        raise DomainError("digit_additive needs nonnegative arguments")
-    return (m & n) == 0
 
 
 def s2_scaled_difference(c: int, n: int, a: int) -> int:
@@ -224,148 +276,25 @@ def mersenne_power_val(r: int, n: int, t: int, m: int) -> int:
     return m + n
 
 
-def theta(k: int) -> int:
+def theta(k):
     """Length of the maximal run of consecutive exponents at the top of k.
 
     With k = 2**m1 + 2**m2 + ... (m1 > m2 > ...), theta(k) is the largest l
     such that m1, ..., ml are consecutive integers; equivalently the number
-    of leading one-bits of k.
+    of leading one-bits of k: the bit length of k less that of its
+    complement within that length, whose top bit is the first zero below
+    the top run.
     """
-    if k < 1:
-        raise DomainError(f"theta needs k >= 1, got {k}")
-    run = 0
-    i = k.bit_length() - 1
-    while i >= 0 and (k >> i) & 1:
-        run += 1
-        i -= 1
-    return run
+    _require(k >= 1, "theta needs k >= 1")
+    length = bit_length(k)
+    return length - bit_length(((1 << length) - 1) ^ k)
 
 
-def delta_conjecture(k: int) -> int:
+def delta_conjecture(k):
     """Correction term of the difference drop f(k).
 
     2 at k=4; 1 at powers of two above 4 and at powers of two minus one;
     otherwise 0.
     """
-    if k < 3:
-        raise DomainError(f"need k >= 3, got {k}")
-    if k == 4:
-        return 2
-    if is_power_of_two(k) or is_power_of_two(k + 1):
-        return 1
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# column forms
-#
-# Each takes an array of integers (or anything numpy.asarray takes) and gives
-# an int64 array of the same shape, entry for entry what the scalar form
-# gives, with the same DomainError on an entry outside its domain.  int64
-# arrays are computed by whole-array operations; any other dtype, such as
-# object arrays of Python integers past int64, goes through the scalar form
-# one entry at a time.
-
-_BYTE_S2 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-
-def _column_form(scalar: Callable[[int], int]) -> Callable:
-    """Decorator: the vectorised int64 body, with scalar for every other dtype."""
-
-    def decorate(body: Callable[[np.ndarray], np.ndarray]) -> Callable[[object], np.ndarray]:
-        @functools.wraps(body)
-        def column(x: object) -> np.ndarray:
-            x = np.asarray(x)
-            if x.dtype != np.int64:
-                values = [scalar(v) for v in x.ravel().tolist()]
-                return np.array(values, dtype=np.int64).reshape(x.shape)
-            return body(x)
-
-        return column
-
-    return decorate
-
-
-def _at_least(x: np.ndarray, low: int, name: str) -> None:
-    if x.size and x.min() < low:
-        raise DomainError(f"{name} needs x >= {low}, got {x.min()}")
-
-
-def _bit_lengths(x: np.ndarray) -> np.ndarray:
-    """int.bit_length of each entry of an int64 array of naturals: the exponent
-    numpy.frexp gives, exact below 2**53, and above that by binary search."""
-    if not x.size or x.max() < 1 << 53:
-        return np.frexp(x)[1].astype(np.int64)
-    out = np.zeros(x.shape, dtype=np.int64)
-    for shift in (32, 16, 8, 4, 2, 1):
-        high = x >> shift != 0
-        out += high * shift
-        x = np.where(high, x >> shift, x)
-    return out + (x != 0)
-
-
-@_column_form(s2)
-def s2_column(x: np.ndarray) -> np.ndarray:
-    """s2 of each entry, as the sum of a byte table over its 8 bytes
-    (numpy.bitwise_count needs numpy 2)."""
-    _at_least(x, 0, "s2")
-    octets = np.ascontiguousarray(x).view(np.uint8).reshape(x.shape + (8,))
-    return _BYTE_S2[octets].sum(axis=-1, dtype=np.int64)
-
-
-@_column_form(nu2_int)
-def nu2_column(x: np.ndarray) -> np.ndarray:
-    """nu2 of each nonzero entry (sign ignored), from its lowest set bit x & -x."""
-    if (x == 0).any():
-        raise DomainError("nu2_int is undefined at 0; use nu2")
-    return _bit_lengths(x & -x) - 1
-
-
-@_column_form(ceil_log2)
-def ceil_log2_column(x: np.ndarray) -> np.ndarray:
-    """ceil(log2(x)) of each entry x >= 1: the bit length of x - 1."""
-    _at_least(x, 1, "ceil_log2")
-    return _bit_lengths(x - 1)
-
-
-@_column_form(theta)
-def theta_column(x: np.ndarray) -> np.ndarray:
-    """theta of each entry x >= 1: its bit length less that of its complement
-    within that length, whose top bit is the first zero below the top run."""
-    _at_least(x, 1, "theta")
-    length = _bit_lengths(x)
-    return length - _bit_lengths(((1 << length) - 1) ^ x)
-
-
-@dataclass(frozen=True)
-class BinaryProfile:
-    """Binary expansion data of a positive integer.
-
-    ``digits`` is indexed from bit 0; ``exponents`` lists the positions of
-    one-bits in strictly decreasing order, so value = sum(2**e for e in
-    exponents) and s2 = len(exponents).
-    """
-
-    value: int
-    digits: tuple[int, ...]
-    s2: int
-    nu2: Valuation
-    exponents: tuple[int, ...]
-    theta: int
-    ceil_log2: int
-
-    @classmethod
-    def of(cls, value: int) -> "BinaryProfile":
-        if value < 1:
-            raise DomainError(f"BinaryProfile needs value >= 1, got {value}")
-        bits = tuple((value >> i) & 1 for i in range(value.bit_length()))
-        exps = tuple(i for i in range(value.bit_length() - 1, -1, -1) if (value >> i) & 1)
-        return cls(
-            value=value,
-            digits=bits,
-            s2=s2(value),
-            nu2=nu2(value),
-            exponents=exps,
-            theta=theta(value),
-            ceil_log2=ceil_log2(value),
-        )
+    _require(k >= 3, "need k >= 3")
+    return select(k == 4, 2, select(is_power_of_two(k) | is_power_of_two(k + 1), 1, 0))

@@ -49,7 +49,6 @@ __all__ = [
     "DEFAULT_EXACT_CAP",
     "DEFAULT_ROW_CAP",
     "stirling_exact",
-    "stirling_exact_rows",
     "stirling_exact_table",
     "stirling_row_mod2",
     "stirling_rows_mod2",
@@ -449,10 +448,6 @@ class _ExactTable:
         self.ensure(n, k)
         return self._rows[n][k]
 
-    def rows(self, n_max: int, k_max: int) -> list[list[int]]:
-        self.ensure(n_max, min(n_max, k_max))
-        return [row[: min(n, k_max) + 1] for n, row in enumerate(self._rows[: n_max + 1])]
-
     def table(self, n_max: int, k_max: int) -> list[list[int]]:
         self.ensure(n_max, k_max)
         return self._rows
@@ -473,19 +468,6 @@ def stirling_exact(n: int, k: int, cap: int = DEFAULT_EXACT_CAP) -> int:
     if k > n:
         return 0
     return _EXACT.value(n, k)
-
-
-def stirling_exact_rows(n_max: int, k_max: int) -> list[list[int]]:
-    """Exact rows S(n, 0..min(n, k_max)) for n = 0..n_max, as new lists.
-
-    The rows are sliced off the shared triangle, grown once for the whole
-    block, so a caller reading many cells pays no per-cell call.
-    """
-    if n_max < 0 or k_max < 0:
-        raise DomainError(f"need n_max, k_max >= 0, got n_max={n_max}, k_max={k_max}")
-    if n_max > DEFAULT_EXACT_CAP:
-        raise ResourceCapError(f"exact engine capped at n <= {DEFAULT_EXACT_CAP}, got {n_max}")
-    return _EXACT.rows(n_max, k_max)
 
 
 def stirling_exact_table(n_max: int, k_max: int) -> list[list[int]]:

@@ -1,34 +1,39 @@
 """Closed-form valuation predictions for Stirling numbers of the second kind.
 
-Each predictor encodes one proved statement (or, for the Mersenne-shaped
-case, the conjectured one) as a typed claim: an equality, a lower bound, or
-a conjectural equality, tagged with the statement it came from.  Claims are
-verified against the exact engine by :mod:`stirling2adic.verify`; predictors
-never compute Stirling numbers themselves.
+Each closed form of the source paper (arXiv:1209.6284) and of T. Lengyel
+(FPSAC 2009) is declared once, as a Statement: its source, its parameters,
+its named hypotheses (predicates), the rule for its claim's kind and its
+value.  A claim is an equality, a lower bound, or a conjectural equality,
+tagged with the statement it came from.  Claims are verified against the
+exact engine by :mod:`stirling2adic.verify`; predictors never compute
+Stirling numbers themselves.
 
-The sweeps' predictors also have column forms (``predict_*_columns``): the
-claims about a block of cells at once, as a Claims of numpy columns, each
-entry what the scalar form gives for that cell.
+The predicates and formulas are written with operations that take a Python
+int and a numpy column alike (see :mod:`stirling2adic.base2`), so one
+declaration gives both the scalar claim (``Statement.prediction``, behind
+``predict_val`` and the ``predict_val_*`` functions) and the claims about a
+block of cells at once (``Statement.claims``, for the sweeps).  A scalar
+call outside a statement's hypotheses raises DomainError naming the first
+hypothesis that fails; a column call raises if any cell fails one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from .base2 import (
+    bit_length,
     ceil_log2,
-    ceil_log2_column,
     delta_conjecture,
+    holds,
     is_power_of_two,
-    nu2_column,
     nu2_int,
     s2,
-    s2_column,
+    select,
     theta,
-    theta_column,
 )
 from .errors import DomainError
 
@@ -50,17 +55,21 @@ __all__ = [
     "SOURCES",
     "Prediction",
     "Claims",
+    "Statement",
+    "LENGYEL_EQ",
+    "DIAGONAL",
+    "LENGYEL_BD",
+    "LOWER",
+    "SHIFTED_POWER",
+    "SHIFTED_TRIPLE",
+    "DIFFERENCE",
+    "THETA",
     "predict_val",
     "predict_val_shifted_power",
     "predict_val_shifted_triple",
     "predict_val_difference",
     "predict_val_theta",
-    "predict_val_shifted_power_columns",
-    "predict_val_shifted_triple_columns",
-    "predict_val_difference_columns",
-    "predict_val_theta_columns",
     "f_conjectured",
-    "f_conjectured_columns",
 ]
 
 EQUALITY = "equality"
@@ -134,28 +143,209 @@ class Claims(NamedTuple):
     kind: np.ndarray
     value: np.ndarray
 
-    @classmethod
-    def of(cls, source: str | np.ndarray, kind: str | np.ndarray, value: object) -> "Claims":
-        """Claims from a source and a kind given by name, or as code arrays."""
-        if isinstance(source, str):
-            source = np.array(SOURCES.index(source), dtype=np.int8)
-        if isinstance(kind, str):
-            kind = np.array(CLAIM_KINDS.index(kind), dtype=np.int8)
-        return cls(source, kind, np.asarray(value, dtype=np.int64))
+
+_EQ, _BOUND, _CONJ = range(len(CLAIM_KINDS))  # the codes of CLAIM_KINDS, for the kind rules
+
+Rule = Callable[..., object]
 
 
-def _where(cond: np.ndarray, yes: str, no: str, names: tuple[str, ...]) -> np.ndarray:
-    """The code of yes where cond holds, else that of no, in names."""
-    return np.where(cond, names.index(yes), names.index(no)).astype(np.int8)
+class Statement(NamedTuple):
+    """A closed form: for params that satisfy every hypothesis, a claim about
+    a valuation, of the kind and value its rules give, tagged with source.
+
+    hypotheses maps names to predicates, checked in order.  kind gives a
+    code into CLAIM_KINDS; a conjectural claim is tagged with conjecture
+    instead of source.  A predicate or rule takes the params in order, as
+    ints or as numpy columns that broadcast together, and gives a bool or a
+    column of them (a predicate), a code or a column of codes (kind), or an
+    integer or a column of them (value).
+    """
+
+    source: str
+    params: tuple[str, ...]
+    hypotheses: dict[str, Rule]
+    kind: Rule
+    value: Rule
+    conjecture: str | None = None
+
+    def refusal(self, args: tuple) -> str | None:
+        """The first hypothesis that args fail (in some cell, for columns), or None."""
+        for name, predicate in self.hypotheses.items():
+            ok = predicate(*args)
+            if ok is not True and not holds(ok):
+                return name
+        return None
+
+    def claim(self, args: tuple) -> Prediction:
+        """The claim about one cell of ints, whose hypotheses hold."""
+        kind = CLAIM_KINDS[self.kind(*args)]
+        source = self.conjecture if kind == CONJECTURAL_EQUALITY else self.source
+        return Prediction(kind, self.value(*args), source, dict(zip(self.params, args)))
+
+    def prediction(self, *args: int) -> Prediction:
+        """The claim about one cell of ints; DomainError outside the hypotheses."""
+        name = self.refusal(args)
+        if name is not None:
+            got = ", ".join(f"{p}={v}" for p, v in zip(self.params, args))
+            raise DomainError(f"{self.source} needs {name}, got {got}")
+        return self.claim(args)
+
+    def claims(self, *args: object) -> Claims:
+        """The claims about a block of cells; DomainError if any cell is outside the hypotheses."""
+        name = self.refusal(args)
+        if name is not None:
+            raise DomainError(f"{self.source} needs {name} in every cell")
+        kind = np.asarray(self.kind(*args), dtype=np.int8)
+        source = np.asarray(SOURCES.index(self.source), dtype=np.int8)
+        if self.conjecture is not None:
+            source = np.where(kind == _CONJ, SOURCES.index(self.conjecture), source).astype(np.int8)
+        return Claims(source, kind, np.asarray(self.value(*args), dtype=np.int64))
+
+
+def _c_odd(c, *rest):
+    return (c >= 1) & ((c & 1) == 1)
+
+
+# nu2(S(c*2**n, k)) = s2(k) - 1
+LENGYEL_EQ = Statement(
+    SRC_LEM_LENGYEL_EQ,
+    ("c", "n", "k"),
+    {"c >= 1": lambda c, n, k: c >= 1, "1 <= k <= 2**n": lambda c, n, k: (k >= 1) & (k <= 1 << n)},
+    kind=lambda c, n, k: _EQ,
+    value=lambda c, n, k: s2(k) - 1,
+)
+
+# nu2(S(c*2**n, (c-1)*2**n + a)) = s2(a) - 1
+DIAGONAL = Statement(
+    SRC_THM_DIAGONAL,
+    ("c", "n", "a"),
+    {
+        "c odd >= 1": _c_odd,
+        "n >= 2": lambda c, n, a: n >= 2,
+        "1 <= a <= 2**n": lambda c, n, a: (a >= 1) & (a <= 1 << n),
+    },
+    kind=lambda c, n, a: _EQ,
+    value=lambda c, n, a: s2(a) - 1,
+)
+
+# nu2(S(c*2**n, k)) = n at k = 2**(n+1) - 1, and >= s2(k) below it
+LENGYEL_BD = Statement(
+    SRC_LEM_LENGYEL_BD,
+    ("c", "n", "k"),
+    {
+        "c odd >= 3": lambda c, n, k: (c >= 3) & ((c & 1) == 1),
+        "2**n < k < 2**(n+1) or k = 2**(n+1) - 1": (
+            lambda c, n, k: ((k > 1 << n) & (k < 2 << n)) | (k == (2 << n) - 1)
+        ),
+    },
+    kind=lambda c, n, k: select(k == (2 << n) - 1, _EQ, _BOUND),
+    value=lambda c, n, k: select(k == (2 << n) - 1, n, s2(k)),
+)
+
+# nu2(S(c*2**n, b*2**(n+1) + a)) >= s2(a) - 1
+LOWER = Statement(
+    SRC_THM_LOWER_BOUND,
+    ("c", "n", "b", "a"),
+    {
+        "c odd >= 1": _c_odd,
+        "b >= 0": lambda c, n, b, a: b >= 0,
+        "1 <= a < 2**(n+1)": lambda c, n, b, a: (a >= 1) & (a < 2 << n),
+    },
+    kind=lambda c, n, b, a: _BOUND,
+    value=lambda c, n, b, a: s2(a) - 1,
+)
+
+# nu2(S(c*2**n + 2**m, 2**n)) = n - 1 - m
+SHIFTED_POWER = Statement(
+    SRC_LEM_SHIFTED_POWER,
+    ("c", "n", "m"),
+    {"c odd >= 1": _c_odd, "0 <= m < n": lambda c, n, m: (m >= 0) & (m < n)},
+    kind=lambda c, n, m: _EQ,
+    value=lambda c, n, m: n - 1 - m,
+)
+
+# nu2(S(c*2**m + b*2**(n+1) + 2**n, b*2**(n+2) + a)) = n at a = 2**(n+1) - 1, else >= s2(a)
+SHIFTED_TRIPLE = Statement(
+    SRC_THM_SHIFTED_TRIPLE,
+    ("c", "m", "b", "n", "a"),
+    {
+        "c odd >= 1": _c_odd,
+        "b >= 1": lambda c, m, b, n, a: b >= 1,
+        "n >= 1": lambda c, m, b, n, a: n >= 1,
+        "1 <= a < 2**(n+1)": lambda c, m, b, n, a: (a >= 1) & (a < 2 << n),
+        "m >= n + 2 + floor(log2 b)": lambda c, m, b, n, a: m >= n + 1 + bit_length(b),
+    },
+    kind=lambda c, m, b, n, a: select(a == (2 << n) - 1, _EQ, _BOUND),
+    value=lambda c, m, b, n, a: select(a == (2 << n) - 1, n, s2(a)),
+)
+
+
+def f_conjectured(k):
+    """The difference drop f(k) = 1 + ceil(log2 k) - s2(k) - delta(k), for
+    k >= 3 (delta's domain), or of each entry of a column.
+
+    Proved for k other than 2**m - 1, where f(k) = 0 is the conjecture."""
+    delta = delta_conjecture(k)
+    return 1 + ceil_log2(k) - s2(k) - delta
+
+
+# nu2(S(a*2**n, k) - S(b*2**n, k)) = n + 1 + nu2(a-b) - f(k), proved away from k = 2**m - 1.
+# At k = 2**m - 1, where f(k) = 0, the case is open: the claim is conjectural, so verifiers
+# report rather than assert it.
+DIFFERENCE = Statement(
+    SRC_THM_DIFFERENCE,
+    ("a", "b", "n", "k"),
+    {
+        "a > b >= 1": lambda a, b, n, k: (a > b) & (b >= 1),
+        "3 <= k <= 2**n": lambda a, b, n, k: (k >= 3) & ((k - 1) >> n == 0),
+    },
+    kind=lambda a, b, n, k: select(is_power_of_two(k + 1), _CONJ, _EQ),
+    value=lambda a, b, n, k: n + 1 + nu2_int(a - b) - f_conjectured(k),
+    conjecture=SRC_CONJ_MERSENNE,
+)
+
+
+def _distinguished_a(k):
+    """The a at which the top-run lemma is an equality: with t the top run of
+    k (its theta(k) leading one-bits, the bits below cleared), t // 2 when k
+    has one-bits below its top run, else k less its top bit."""
+    length, run = bit_length(k), theta(k)
+    top = ((1 << run) - 1) << (length - run)
+    return select(top == k, k - (1 << (length - 1)), top >> 1)
+
+
+def _theta_value(c, n, a, k):
+    base = s2(k) - ceil_log2(k) + nu2_int(a)
+    # strict inequality over integers, clamped: valuations are never negative
+    return select(a == _distinguished_a(k), base, select(base >= 0, base + 1, 0))
+
+
+# The top-run lemma: nu2(S(c*2**n - a, k - 2a)) = s2(k) - ceil(log2 k) + nu2(a) exactly at the
+# distinguished a, and a strict inequality (a lower bound one higher) everywhere else.
+THETA = Statement(
+    SRC_LEM_THETA,
+    ("c", "n", "a", "k"),
+    {
+        "c odd >= 1": _c_odd,
+        "3 <= k <= 2**n": lambda c, n, a, k: (k >= 3) & ((k - 1) >> n == 0),
+        "s2(k) >= 2": lambda c, n, a, k: s2(k) >= 2,
+        "k neither a power of two nor one less": (
+            lambda c, n, a, k: (k & (k - 1) != 0) & (k & (k + 1) != 0)
+        ),
+        "1 <= a <= ceil(k/2) - 1": lambda c, n, a, k: (a >= 1) & (a <= ((k + 1) >> 1) - 1),
+    },
+    kind=lambda c, n, a, k: select(a == _distinguished_a(k), _EQ, _BOUND),
+    value=_theta_value,
+)
 
 
 def predict_val(big_n: int, k: int) -> list[Prediction]:
     """All applicable closed-form claims about nu2(S(big_n, k)).
 
     Decomposes big_n = c * 2**n with n = nu2(big_n) maximal (c odd) and
-    matches every statement whose parameter domain contains (c, n, k).
-    Equality claims come first; a not-applicable placeholder is returned
-    when nothing matches.
+    matches every statement whose hypotheses hold at (c, n, k).  Equality
+    claims come first; a not-applicable placeholder is returned when nothing
+    matches.
     """
     if big_n < 2:
         raise DomainError(f"need N >= 2, got {big_n}")
@@ -163,214 +353,33 @@ def predict_val(big_n: int, k: int) -> list[Prediction]:
         raise DomainError(f"need 1 <= k <= N, got k={k}, N={big_n}")
     n = nu2_int(big_n)
     c = big_n >> n
-    equalities: list[Prediction] = []
-    bounds: list[Prediction] = []
-
-    if k <= (1 << n):
-        equalities.append(
-            Prediction(EQUALITY, s2(k) - 1, SRC_LEM_LENGYEL_EQ, {"c": c, "n": n, "k": k})
-        )
-    if n >= 2 and (c - 1) << n < k:  # k = (c-1)*2**n + a with 1 <= a <= 2**n
-        a = k - ((c - 1) << n)
-        if a <= (1 << n):
-            equalities.append(
-                Prediction(EQUALITY, s2(a) - 1, SRC_THM_DIAGONAL, {"c": c, "n": n, "a": a})
-            )
-    if c >= 3:
-        if k == (1 << (n + 1)) - 1:
-            equalities.append(
-                Prediction(EQUALITY, n, SRC_LEM_LENGYEL_BD, {"c": c, "n": n, "k": k})
-            )
-        elif (1 << n) < k < (1 << (n + 1)) - 1:
-            bounds.append(
-                Prediction(LOWER_BOUND, s2(k), SRC_LEM_LENGYEL_BD, {"c": c, "n": n, "k": k})
-            )
-    a = k & ((1 << (n + 1)) - 1)
-    b = k >> (n + 1)
-    if a > 0:
-        bounds.append(
-            Prediction(LOWER_BOUND, s2(a) - 1, SRC_THM_LOWER_BOUND, {"c": c, "n": n, "b": b, "a": a})
-        )
-    out = equalities + bounds
+    # equalities come first in this order: LENGYEL_BD, the one statement that gives
+    # either kind, follows those that give equalities and precedes the one that gives bounds
+    cells = (
+        (LENGYEL_EQ, (c, n, k)),
+        (DIAGONAL, (c, n, k - ((c - 1) << n))),  # k = (c-1)*2**n + a
+        (LENGYEL_BD, (c, n, k)),
+        (LOWER, (c, n, k >> (n + 1), k & ((2 << n) - 1))),  # k = b*2**(n+1) + a
+    )
+    out = [statement.claim(args) for statement, args in cells if statement.refusal(args) is None]
     return out or [Prediction(NOT_APPLICABLE, None, SRC_THM_LOWER_BOUND, {"c": c, "n": n})]
 
 
 def predict_val_shifted_power(c: int, n: int, m: int) -> Prediction:
-    """Claim: nu2(S(c*2**n + 2**m, 2**n)) = n - 1 - m, for 0 <= m < n, c odd."""
-    if c < 1 or c % 2 == 0:
-        raise DomainError(f"need odd c >= 1, got {c}")
-    if not 0 <= m < n:
-        raise DomainError(f"need 0 <= m < n, got m={m}, n={n}")
-    return Prediction(
-        EQUALITY, n - 1 - m, SRC_LEM_SHIFTED_POWER, {"c": c, "n": n, "m": m}
-    )
-
-
-def predict_val_shifted_power_columns(c: int, n: np.ndarray, m: np.ndarray) -> Claims:
-    """Column form of predict_val_shifted_power over arrays n and m of the same shape."""
-    if c < 1 or c % 2 == 0:
-        raise DomainError(f"need odd c >= 1, got {c}")
-    if m.size and ((m < 0) | (m >= n)).any():
-        raise DomainError("need 0 <= m < n in every cell")
-    return Claims.of(SRC_LEM_SHIFTED_POWER, EQUALITY, n - 1 - m)
+    """SHIFTED_POWER's claim about nu2(S(c*2**n + 2**m, 2**n))."""
+    return SHIFTED_POWER.prediction(c, n, m)
 
 
 def predict_val_shifted_triple(c: int, m: int, b: int, n: int, a: int) -> Prediction:
-    """Claim about nu2(S(c*2**m + b*2**(n+1) + 2**n, b*2**(n+2) + a)).
-
-    Equality n when a = 2**(n+1) - 1, otherwise a lower bound of s2(a).
-    Needs c odd, b >= 1, n >= 1, 1 <= a < 2**(n+1) and m large enough
-    (m >= n + 2 + floor(log2(b))).
-    """
-    if c < 1 or c % 2 == 0:
-        raise DomainError(f"need odd c >= 1, got {c}")
-    if b < 1:
-        raise DomainError(f"need b >= 1, got {b}")
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    if not 1 <= a < (1 << (n + 1)):
-        raise DomainError(f"need 1 <= a < 2**(n+1), got a={a}")
-    m_min = n + 2 + (b.bit_length() - 1)
-    if m < m_min:
-        raise DomainError(f"need m >= n + 2 + floor(log2(b)) = {m_min}, got {m}")
-    params = {"c": c, "m": m, "b": b, "n": n, "a": a}
-    if a == (1 << (n + 1)) - 1:
-        return Prediction(EQUALITY, n, SRC_THM_SHIFTED_TRIPLE, params)
-    return Prediction(LOWER_BOUND, s2(a), SRC_THM_SHIFTED_TRIPLE, params)
-
-
-def predict_val_shifted_triple_columns(
-    c: np.ndarray, m: np.ndarray, b: int, n: int, a: np.ndarray
-) -> Claims:
-    """Column form of predict_val_shifted_triple over arrays c, m and a of the same shape."""
-    if a.size:
-        # the domain is a box in (c, m, a) but for the oddness of c: its corners decide
-        predict_val_shifted_triple(int(c.min()), int(m.min()), b, n, int(a.min()))
-        predict_val_shifted_triple(int(c.max()), int(m.max()), b, n, int(a.max()))
-        if (c % 2 == 0).any():
-            raise DomainError("need odd c in every cell")
-    top = a == (1 << (n + 1)) - 1
-    kind = _where(top, EQUALITY, LOWER_BOUND, CLAIM_KINDS)
-    return Claims.of(SRC_THM_SHIFTED_TRIPLE, kind, np.where(top, n, s2_column(a)))
+    """SHIFTED_TRIPLE's claim about nu2(S(c*2**m + b*2**(n+1) + 2**n, b*2**(n+2) + a))."""
+    return SHIFTED_TRIPLE.prediction(c, m, b, n, a)
 
 
 def predict_val_difference(a: int, b: int, n: int, k: int) -> Prediction:
-    """Claim about nu2(S(a*2**n, k) - S(b*2**n, k)) for a > b >= 1, 3 <= k <= 2**n:
-
-        n + 1 + nu2(a-b) - f(k),    f(k) = 1 + ceil(log2 k) - s2(k) - delta(k).
-
-    Away from k = 2**m - 1 this is the proved formula.  At k = 2**m - 1,
-    where f(k) = 0, the case is open: the claim is tagged conjectural so
-    verifiers report rather than assert it.
-    """
-    if b < 1 or a <= b:
-        raise DomainError(f"need a > b >= 1, got a={a}, b={b}")
-    if k < 3 or k > (1 << n):
-        raise DomainError(f"need 3 <= k <= 2**n, got k={k}, n={n}")
-    params = {"a": a, "b": b, "n": n, "k": k}
-    value = n + 1 + nu2_int(a - b) - f_conjectured(k)
-    if is_power_of_two(k + 1):
-        return Prediction(CONJECTURAL_EQUALITY, value, SRC_CONJ_MERSENNE, params)
-    return Prediction(EQUALITY, value, SRC_THM_DIFFERENCE, params)
-
-
-def predict_val_difference_columns(
-    a: int | np.ndarray, b: int | np.ndarray, n: int | np.ndarray, k: np.ndarray
-) -> Claims:
-    """Column form of predict_val_difference: a, b and n are ints or arrays
-    that broadcast with the array k."""
-    if k.size and (np.min(b) < 1 or np.min(a - b) < 1):
-        raise DomainError(f"need a > b >= 1 in every cell, got a={a}, b={b}")
-    # f_conjectured_columns checks k >= 3; k <= 2**n is (k - 1) >> n == 0
-    value = n + 1 + nu2_column(a - b) - f_conjectured_columns(k)
-    if k.size and ((k - 1) >> n).any():
-        raise DomainError(f"need 3 <= k <= 2**n in every cell, got k={k}, n={n}")
-    mersenne = (k & (k + 1)) == 0
-    source = _where(mersenne, SRC_CONJ_MERSENNE, SRC_THM_DIFFERENCE, SOURCES)
-    kind = _where(mersenne, CONJECTURAL_EQUALITY, EQUALITY, CLAIM_KINDS)
-    return Claims.of(source, kind, value)
-
-
-def _distinguished_a(k: int) -> int:
-    # the unique a for which the theta-lemma bound is attained
-    m1 = k.bit_length() - 1
-    th = theta(k)
-    m_th = m1 - th + 1  # exponents at the top run are consecutive
-    if th < s2(k):
-        return (1 << (m_th - 1)) * ((1 << th) - 1)
-    return (1 << m_th) * ((1 << (th - 1)) - 1)
-
-
-def _distinguished_a_columns(k: np.ndarray) -> np.ndarray:
-    """_distinguished_a of each entry of k."""
-    if k.dtype != np.int64:
-        return np.array([_distinguished_a(v) for v in k.tolist()], dtype=object)
-    th = theta_column(k)
-    m_th = ceil_log2_column(k + 1) - th  # floor(log2 k) - theta + 1
-    # each branch is taken only where its shifts are >= 0
-    short = (1 << np.maximum(m_th - 1, 0)) * ((1 << th) - 1)
-    run = (1 << m_th) * ((1 << np.maximum(th - 1, 0)) - 1)
-    return np.where(th < s2_column(k), short, run)
+    """DIFFERENCE's claim about nu2(S(a*2**n, k) - S(b*2**n, k))."""
+    return DIFFERENCE.prediction(a, b, n, k)
 
 
 def predict_val_theta(c: int, n: int, a: int, k: int) -> Prediction:
-    """Claim about nu2(S(c*2**n - a, k - 2a)) from the top-run lemma.
-
-    For k with s2(k) >= 2, k neither a power of two nor one less, and
-    1 <= a <= ceil(k/2) - 1: equality s2(k) - ceil(log2 k) + nu2(a) exactly
-    at the distinguished a determined by theta(k), and a strict inequality
-    (reported as a lower bound one higher) everywhere else.
-    """
-    if c < 1 or c % 2 == 0:
-        raise DomainError(f"need odd c >= 1, got {c}")
-    if k < 3 or k > (1 << n):
-        raise DomainError(f"need 3 <= k <= 2**n, got k={k}, n={n}")
-    if s2(k) < 2:
-        raise DomainError(f"need s2(k) >= 2, got k={k}")
-    if is_power_of_two(k) or is_power_of_two(k + 1):
-        raise DomainError(f"k may be neither a power of two nor one less, got {k}")
-    a_max = -(-k // 2) - 1
-    if not 1 <= a <= a_max:
-        raise DomainError(f"need 1 <= a <= ceil(k/2) - 1 = {a_max}, got a={a}")
-    base = s2(k) - ceil_log2(k) + nu2_int(a)
-    params = {"c": c, "n": n, "a": a, "k": k}
-    if a == _distinguished_a(k):
-        return Prediction(EQUALITY, base, SRC_LEM_THETA, params)
-    # strict inequality over integers, clamped: valuations are never negative
-    return Prediction(LOWER_BOUND, max(0, base + 1), SRC_LEM_THETA, params)
-
-
-def predict_val_theta_columns(c: int, n: int, a: np.ndarray, k: np.ndarray) -> Claims:
-    """Column form of predict_val_theta over arrays a and k of the same shape."""
-    if c < 1 or c % 2 == 0:
-        raise DomainError(f"need odd c >= 1, got {c}")
-    if k.size:
-        if int(k.min()) < 3 or int(k.max()) > 1 << n:
-            raise DomainError(f"need 3 <= k <= 2**n, got k in {k.min()}..{k.max()}, n={n}")
-        # s2(k) >= 2 holds for every k >= 3 that is not a power of two
-        if ((k & (k - 1)) == 0).any() or ((k & (k + 1)) == 0).any():
-            raise DomainError("k may be neither a power of two nor one less")
-        if (a < 1).any() or (a > (k + 1) // 2 - 1).any():
-            raise DomainError("need 1 <= a <= ceil(k/2) - 1 in every cell")
-    base = s2_column(k) - ceil_log2_column(k) + nu2_column(a)
-    at = a == _distinguished_a_columns(k)
-    kind = _where(at, EQUALITY, LOWER_BOUND, CLAIM_KINDS)
-    return Claims.of(SRC_LEM_THETA, kind, np.where(at, base, np.maximum(0, base + 1)))
-
-
-def f_conjectured(k: int) -> int:
-    """The difference drop f(k) = 1 + ceil(log2 k) - s2(k) - delta(k).
-
-    Proved for k other than 2**m - 1, where f(k) = 0 is the conjecture."""
-    if k < 3:
-        raise DomainError(f"need k >= 3, got {k}")
-    return 1 + ceil_log2(k) - s2(k) - delta_conjecture(k)
-
-
-def f_conjectured_columns(k: np.ndarray) -> np.ndarray:
-    """f_conjectured of each entry of k."""
-    if np.size(k) and int(np.min(k)) < 3:
-        raise DomainError(f"need k >= 3, got {np.min(k)}")
-    power = (k & (k - 1)) == 0
-    delta = np.where(k == 4, 2, power | ((k & (k + 1)) == 0))
-    return 1 + ceil_log2_column(k) - s2_column(k) - delta
+    """THETA's claim about nu2(S(c*2**n - a, k - 2a))."""
+    return THETA.prediction(c, n, a, k)

@@ -9,7 +9,8 @@ before any block is built.  A block holds its parameters as columns (see
 _Block): numpy int64 arrays, a plain value where a parameter is the same in
 every cell, arrays of exact Python integers (dtype object) where a value can
 pass int64, and codes into a few values for the parameters of an outer loop
-(see _runs).  The claims come from the predictors' column forms, the queries
+(see _runs).  The claims come from the predictors' statements, each declared
+once and evaluated on the block's columns (Statement.claims); the queries
 of every block go to one valuations() call, and the verdicts are one table
 lookup over all cells (see _VERDICTS).  The exact checks (junod, identities,
 count-J, diff-congruence) run one cell at a time and emit blocks too, and so
@@ -47,7 +48,6 @@ from .base2 import (
     brute_force_J,
     count_J,
     nu2_int,
-    s2_column,
 )
 from .bell import junod_check
 from .engine import (
@@ -55,7 +55,6 @@ from .engine import (
     PrecisionPolicy,
     check_convolution,
     check_symmetric_identity,
-    stirling_exact_rows,
     stirling_exact_table,
     stirling_explicit_rows_mod2,
     stirling_row_mod2,  # unused here; kept for callers that look it up in this module
@@ -365,10 +364,6 @@ def _cells(keys: str, params: tuple, query: tuple, claims: P.Claims, size: int) 
     return _Cells(tuple(keys.split()), params, query, claims, size)
 
 
-def _digit_claims(source: str, kind: str, x: np.ndarray) -> P.Claims:
-    return P.Claims.of(source, kind, s2_column(x) - 1)
-
-
 def _lengyel(r: dict) -> Iterator[tuple]:
     """nu2(S(c*2**n, k)) = s2(k) - 1 for 1 <= k <= 2**n: a block per n."""
     ns, cs = _int_list(r, "n", floor=0), _int_list(r, "c", floor=1)
@@ -380,7 +375,7 @@ def _lengyel_block(n: int, cs: list[int]) -> _Cells:
     width = 1 << n
     c, big_n = _runs(width, cs, [c << n for c in cs])
     k = np.tile(np.arange(1, width + 1), len(cs))
-    claims = _digit_claims(P.SRC_LEM_LENGYEL_EQ, P.EQUALITY, k)
+    claims = P.LENGYEL_EQ.claims(_decoded(c), n, k)
     return _cells("n c k N", (n, c, k, big_n), (big_n, None, k), claims, k.size)
 
 
@@ -403,7 +398,7 @@ def _lower_block(n: int, cs: list[int]) -> _Cells:
     k = k[(k & low) != 0]
     a, b = k & low, k >> (n + 1)
     c, big_n = _runs(sizes, cs, [c << n for c in cs])
-    claims = _digit_claims(P.SRC_THM_LOWER_BOUND, P.LOWER_BOUND, a)
+    claims = P.LOWER.claims(_decoded(c), n, b, a)
     return _cells("n c b a k N", (n, c, b, a, k, big_n), (big_n, None, k), claims, k.size)
 
 
@@ -419,7 +414,7 @@ def _diagonal_block(n: int, cs: list[int]) -> _Cells:
     c, big_n, base = _runs(width, cs, [c << n for c in cs], [(c - 1) << n for c in cs])
     a = np.tile(np.arange(1, width + 1), len(cs))
     k = _decoded(base) + a
-    claims = _digit_claims(P.SRC_THM_DIAGONAL, P.EQUALITY, a)
+    claims = P.DIAGONAL.claims(_decoded(c), n, a)
     return _cells("n c a k N", (n, c, a, k, big_n), (big_n, None, k), claims, a.size)
 
 
@@ -443,7 +438,7 @@ def _triple_block(n: int, b: int, ms: list[int], cs: list[int]) -> _Cells:
     )
     a = np.tile(np.arange(1, width + 1), len(outer))
     k = _plus(b << (n + 2), a)
-    claims = P.predict_val_shifted_triple_columns(_decoded(c), _decoded(m), b, n, a)
+    claims = P.SHIFTED_TRIPLE.claims(_decoded(c), _decoded(m), b, n, a)
     return _cells("n b m c a k N", (n, b, m, c, a, k, big_n), (big_n, None, k), claims, a.size)
 
 
@@ -464,7 +459,7 @@ def _difference(r: dict) -> Iterator[tuple]:
 def _difference_block(a: int, b: int, ns: list[int]) -> _Cells:
     k = np.concatenate([_diff_ks(n) for n in ns])
     n, n1, n2 = _runs([(1 << n) - n - 1 for n in ns], ns, [a << n for n in ns], [b << n for n in ns])
-    claims = P.predict_val_difference_columns(a, b, _decoded(n), k)
+    claims = P.DIFFERENCE.claims(a, b, _decoded(n), k)
     return _cells("a b n k N1 N2", (a, b, n, k, n1, n2), (n1, n2, k), claims, k.size)
 
 
@@ -480,7 +475,7 @@ def _shifted_power_block(c: int, ns: list[int]) -> _Cells:
     n, m = _exact([n for n, _ in grid]), _exact([m for _, m in grid])
     big_n = _exact([(c << n) + (1 << m) for n, m in grid])
     k = _exact([1 << n for n, _ in grid])
-    claims = P.predict_val_shifted_power_columns(c, n, m)
+    claims = P.SHIFTED_POWER.claims(c, n, m)
     return _cells("c n m N k", (c, n, m, big_n, k), (big_n, None, k), claims, len(grid))
 
 
@@ -502,7 +497,7 @@ def _theta_block(c: int, n: int) -> _Cells:
     k = np.repeat(ks, counts)
     a = np.arange(k.size) - np.repeat(np.cumsum(counts) - counts, counts) + 1
     arg_n, arg_k = _plus(c << n, -a), k - 2 * a
-    claims = P.predict_val_theta_columns(c, n, a, k)
+    claims = P.THETA.claims(c, n, a, k)
     return _cells("c n k a arg_n arg_k", (c, n, k, a, arg_n, arg_k), (arg_n, None, arg_k), claims, k.size)
 
 
@@ -1119,7 +1114,7 @@ def _scan_block(n: int, ms: list[int], pairs: list[tuple[int, int]]) -> _Cells:
     m, k = _runs(len(pairs), ms, [(1 << x) - 1 for x in ms])
     a, b = per_pair([a for a, _ in pairs]), per_pair([b for _, b in pairs])
     n1, n2 = per_pair([a << exp for a, _ in pairs]), per_pair([b << exp for _, b in pairs])
-    claims = P.predict_val_difference_columns(a, b, exp, _decoded(k))
+    claims = P.DIFFERENCE.claims(a, b, exp, _decoded(k))
     return _cells("n m a b k arg_n1 arg_n2", (n, m, a, b, k, n1, n2), (n1, n2, k), claims, size)
 
 
@@ -1196,7 +1191,7 @@ def cross_validate(
     start = time.perf_counter()
     # the explicit rows check k_max and bits at the call, before their first row
     explicit = {bits: stirling_explicit_rows_mod2(n_max, k_max, bits) for bits in bits_values}
-    exact = stirling_exact_rows(n_max, k_max)
+    exact = stirling_exact_table(n_max, min(n_max, k_max))
     n = np.arange(n_max + 1)
     tops = np.minimum(n, k_max)  # the last k of each row
     blocks = []
@@ -1204,9 +1199,9 @@ def cross_validate(
         rows = stirling_rows_mod2(range(n_max + 1), k_max, bits)
         mask = (1 << bits) - 1
         first_bad: list[int | str] = []
-        for i, (explicit_row, exact_row) in enumerate(zip(explicit[bits], exact)):
-            row, expected = rows[i], list(map(mask.__and__, exact_row))
-            top = len(expected)
+        for i, explicit_row in enumerate(explicit[bits]):
+            top = min(i, k_max) + 1
+            row, expected = rows[i], list(map(mask.__and__, exact[i][:top]))
             if row[:top] != expected or explicit_row[:top] != expected:
                 first_bad.append(
                     next(

@@ -3,29 +3,23 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from stirling2adic.base2 import (
-    BinaryProfile,
     Valuation,
     brute_force_J,
     ceil_log2,
-    ceil_log2_column,
     count_J,
     delta_conjecture,
-    digit_additive,
     kummer_binomial_val,
     legendre_factorial_val,
     mersenne_power_val,
     nu2,
-    nu2_column,
     nu2_int,
     s2,
-    s2_column,
     s2_scaled_difference,
     theta,
-    theta_column,
 )
 from stirling2adic.errors import DomainError, ResourceCapError
 
@@ -132,17 +126,6 @@ class TestKummer:
     def test_nonnegative(self, n, data):
         k = data.draw(st.integers(min_value=0, max_value=n))
         assert kummer_binomial_val(n, k) >= 0
-
-
-class TestDigitAdditive:
-    def test_examples(self):
-        assert digit_additive(4, 3)
-        assert not digit_additive(3, 1)
-        assert digit_additive(0, 99)
-
-    @given(st.integers(min_value=0, max_value=2**30), st.integers(min_value=0, max_value=2**30))
-    def test_equivalent_to_digit_sum_equation(self, m, n):
-        assert digit_additive(m, n) == (s2(m + n) == s2(m) + s2(n))
 
 
 class TestS2ScaledDifference:
@@ -270,58 +253,43 @@ class TestDeltas:
             delta_conjecture(2)
 
 
-class TestBinaryProfile:
-    def test_fields(self):
-        p = BinaryProfile.of(44)  # 101100
-        assert p.digits == (0, 0, 1, 1, 0, 1)
-        assert p.s2 == 3
-        assert p.nu2 == Valuation.finite(2)
-        assert p.exponents == (5, 3, 2)
-        assert p.theta == 1
-        assert p.ceil_log2 == 6
-
-    def test_rejects_zero(self):
-        with pytest.raises(DomainError):
-            BinaryProfile.of(0)
-
-    @given(st.integers(min_value=1, max_value=2**48))
-    @settings(max_examples=200)
-    def test_invariants(self, value):
-        p = BinaryProfile.of(value)
-        assert sum(d << i for i, d in enumerate(p.digits)) == value
-        assert sum(p.digits) == p.s2
-        assert sum(1 << e for e in p.exponents) == value
-        assert list(p.exponents) == sorted(p.exponents, reverse=True)
-        assert 1 <= p.theta <= p.s2
-        # the top theta exponents are consecutive, and maximally so
-        top = p.exponents[0]
-        assert all(p.exponents[i] == top - i for i in range(p.theta))
-        if p.theta < p.s2:
-            assert p.exponents[p.theta] <= top - p.theta - 1
-        assert p.ceil_log2 == ceil_log2(value)
+def ceil_log2_oracle(x: int) -> int:
+    # the least c with 2**c >= x, by doubling
+    c = 0
+    while 1 << c < x:
+        c += 1
+    return c
 
 
 class TestColumnForms:
-    # below 2**53, where bit lengths come from numpy.frexp; above, where they come by binary search;
-    # and exact Python integers past int64
+    # below 2**53, where int64 bit lengths come from numpy.frexp; above, where they come by
+    # binary search; and exact Python integers past int64
     VALUES = [1, 2, 3, 4, 7, 8, 12, 255, 256, 2**31 + 5, 2**52 + 1, 2**53 - 1, 2**53, 2**53 + 3,
               2**62 + 2**61, 2**63 - 1]
+    HUGE = [2**70 + 3, 2**64, 3 * 2**80, 2**64 - 1, (2**90 - 1) << 7]
 
     @pytest.mark.parametrize(
-        "column, scalar",
-        [(s2_column, s2), (nu2_column, nu2_int), (ceil_log2_column, ceil_log2), (theta_column, theta)],
+        "fn, oracle",
+        [(s2, lambda x: bin(x).count("1")), (nu2_int, v2_oracle), (ceil_log2, ceil_log2_oracle),
+         (theta, theta_oracle)],
+        ids=["s2", "nu2_int", "ceil_log2", "theta"],
     )
-    def test_entry_for_entry(self, column, scalar):
+    def test_against_oracles(self, fn, oracle):
         rng = random.Random(5)
         values = self.VALUES + [rng.randrange(1, 2**63) for _ in range(300)]
-        assert column(np.array(values, dtype=np.int64)).tolist() == [scalar(v) for v in values]
-        huge = [2**70 + 3, 2**64, 3 * 2**80]
-        assert column(np.array(huge, dtype=object)).tolist() == [scalar(v) for v in huge]
+        expected = [oracle(v) for v in values]
+        assert fn(np.array(values, dtype=np.int64)).tolist() == expected
+        assert [fn(v) for v in values] == expected
+        assert fn(np.array(self.HUGE, dtype=object)).tolist() == [oracle(v) for v in self.HUGE]
+        assert [fn(v) for v in self.HUGE] == [oracle(v) for v in self.HUGE]
 
     @pytest.mark.parametrize(
-        "column, bad", [(s2_column, -1), (nu2_column, 0), (ceil_log2_column, 0), (theta_column, 0)]
+        "fn, bad", [(s2, -1), (nu2_int, 0), (ceil_log2, 0), (theta, 0)],
+        ids=["s2", "nu2_int", "ceil_log2", "theta"],
     )
-    def test_domain(self, column, bad):
+    def test_domain(self, fn, bad):
         for dtype in (np.int64, object):
             with pytest.raises(DomainError):
-                column(np.array([5, bad], dtype=dtype))
+                fn(np.array([5, bad], dtype=dtype))
+        with pytest.raises(DomainError):
+            fn(bad)

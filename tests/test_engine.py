@@ -15,7 +15,7 @@ from stirling2adic.engine import (
     check_convolution,
     check_symmetric_identity,
     stirling_exact,
-    stirling_exact_rows,
+    stirling_exact_table,
     stirling_explicit_mod2,
     stirling_explicit_rows_mod2,
     stirling_mod2,
@@ -90,19 +90,18 @@ class TestExact:
                 assert stirling_exact(n, k) == stirling_reference(n, k)
 
     def test_rows(self):
+        # the shared table's rows 0..n_max, each with S(n, k) at every k <= k_max (0 above n)
         for n_max, k_max in ((0, 0), (12, 5), (30, 40)):
-            rows = stirling_exact_rows(n_max, k_max)
-            assert rows == [
-                [stirling_reference(n, k) for k in range(min(n, k_max) + 1)] for n in range(n_max + 1)
+            table = stirling_exact_table(n_max, k_max)
+            assert [row[: k_max + 1] for row in table[: n_max + 1]] == [
+                [stirling_reference(n, k) for k in range(k_max + 1)] for n in range(n_max + 1)
             ]
-        rows[9][4] += 1  # the rows are the caller's own lists
-        assert stirling_exact_rows(12, 5)[9][4] == stirling_reference(9, 4)
         with pytest.raises(ResourceCapError):
-            stirling_exact_rows(2001, 3)
+            stirling_exact_table(2001, 3)
         with pytest.raises(DomainError):
-            stirling_exact_rows(-1, 3)
+            stirling_exact_table(-1, 3)
         with pytest.raises(DomainError):
-            stirling_exact_rows(3, -1)
+            stirling_exact_table(3, -1)
 
 
 class TestRowEngine:

@@ -736,7 +736,7 @@ class TestCrossValidate:
         assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize(
-        "route", ["stirling_rows_mod2", "stirling_explicit_rows_mod2", "stirling_exact_rows"]
+        "route", ["stirling_rows_mod2", "stirling_explicit_rows_mod2", "stirling_exact_table"]
     )
     def test_disagreement_is_reported(self, monkeypatch, route):
         bad_n, bad_k = 9, 4
@@ -753,15 +753,17 @@ class TestCrossValidate:
                     row[bad_k] ^= 1
                 yield row
 
-        def exact_rows(n_max, k_max):
-            out = original(n_max, k_max)
+        def exact_table(n_max, k_max):
+            # a copy of the shared table with a corrupted copy of one row; the cache stays intact
+            out = list(original(n_max, k_max))
+            out[bad_n] = list(out[bad_n])
             out[bad_n][bad_k] += 1
             return out
 
         corrupted = {
             "stirling_rows_mod2": rows,
             "stirling_explicit_rows_mod2": explicit_rows,
-            "stirling_exact_rows": exact_rows,
+            "stirling_exact_table": exact_table,
         }[route]
         monkeypatch.setattr(verify, route, corrupted)
         report = cross_validate(n_max=12, k_max=6, bits_list=(8, 96))
