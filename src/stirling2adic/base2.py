@@ -200,6 +200,7 @@ def nu2(x: int) -> Valuation:
 
 
 def is_power_of_two(x):
+    """Whether x is a power of two, or which entries of a column are."""
     return (x >= 1) & ((x & (x - 1)) == 0)
 
 

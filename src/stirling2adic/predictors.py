@@ -297,6 +297,7 @@ DIFFERENCE = Statement(
     ("a", "b", "n", "k"),
     {
         "a > b >= 1": lambda a, b, n, k: (a > b) & (b >= 1),
+        "n >= 0": lambda a, b, n, k: n >= 0,
         "3 <= k <= 2**n": lambda a, b, n, k: (k >= 3) & ((k - 1) >> n == 0),
     },
     kind=lambda a, b, n, k: select(is_power_of_two(k + 1), _CONJ, _EQ),
@@ -327,6 +328,7 @@ THETA = Statement(
     ("c", "n", "a", "k"),
     {
         "c odd >= 1": _c_odd,
+        "n >= 0": lambda c, n, a, k: n >= 0,
         "3 <= k <= 2**n": lambda c, n, a, k: (k >= 3) & ((k - 1) >> n == 0),
         "s2(k) >= 2": lambda c, n, a, k: s2(k) >= 2,
         "k neither a power of two nor one less": (

@@ -95,6 +95,11 @@ class TestDiff:
         assert code == 3
         assert "conjecture-deviation" in out
 
+    def test_negative_n_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "diff", "2", "1", "-1", "5")
+        assert code == 64
+        assert out == "" and "error" in err
+
     def test_pass_above_64_bits_is_answered_at_once(self, capsys):
         # the first rung, prediction + 32 bits, is past 64 bits: the pass of 3 * 2**33 rows jumps
         # in Python integers, with bands built for the pass alone, so a wider pass above 64 bits

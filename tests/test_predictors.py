@@ -183,6 +183,11 @@ class TestDifference:
         with pytest.raises(DomainError):
             predict_val_difference(2, 1, 3, 9)
 
+    def test_rejects_negative_n(self):
+        # refused by a hypothesis, not by a negative shift count (ValueError)
+        with pytest.raises(DomainError):
+            predict_val_difference(2, 1, -1, 5)
+
 
 class TestTheta:
     def test_distinguished_equality_short_run(self):
@@ -225,6 +230,11 @@ class TestTheta:
             predict_val_theta(1, 5, 6, 11)  # a > ceil(k/2) - 1
         with pytest.raises(DomainError):
             predict_val_theta(2, 5, 4, 11)  # even c
+
+    def test_rejects_negative_n(self):
+        # refused by a hypothesis, not by a negative shift count (ValueError)
+        with pytest.raises(DomainError):
+            predict_val_theta(1, -1, 1, 5)
 
 
 class TestFConjectured:
