@@ -19,8 +19,10 @@ check() {
 
 check 0 'nu2(S(1000000,64)) = 0' val 1000000 64
 check 2 'nu2(S(40,8) - S(8,8)) = 6' diff 5 1 3 8  # the pinned A05 cell: the formula fails here
-# every cell confirmed: the explicit rows' object-array route agrees with the other engines
+# every cell confirmed: the explicit rows' difference table in int64 limbs agrees with the other engines
 check 0 'bits,n,k_max,first_mismatch,source,claim_kind,claim_value,observed_kind,observed_value,verdict' cross-validate --n-max 120 --k-max 40 --bits 8,65 --format csv
+# k_max at the explicit rows' cap: residues 1,013 bits wider than asked, values of up to 12 limbs (on numpy 1.24 in the numpy-floor job)
+check 0 'bits,n,k_max,first_mismatch,source,claim_kind,claim_value,observed_kind,observed_value,verdict' cross-validate --n-max 60 --k-max 1022 --bits 8,200 --format csv
 # the first rung is past 64 bits: the row pass of 3 * 2**33 steps jumps in the numpy object lane
 check 0 'nu2(S(25769803776,5) - S(8589934592,5)) = 33' diff 3 1 33 5
 # rows 1,001 wide jump by at most 32 steps: over 1e13 lane-steps, refused at once (exit 70, nothing on stdout)

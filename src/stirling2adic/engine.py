@@ -23,9 +23,13 @@ lane-steps, object-lane words weighted by their cost, before any work (see
 stirling_rows_mod2).
 
 The explicit route evaluates the sum for one cell, and for whole rows reads
-k! S(n, k) off the forward-difference table of 0**n, 1**n, ..., k**n, in
-numpy object arrays over blocks of consecutive rows of at most
-_EXPLICIT_BLOCK_BITS bits of residues (see stirling_explicit_rows_mod2).
+k! S(n, k) off the forward-difference table of 0**n, 1**n, ..., k**n.  The
+table is held in int64 arrays of 32-bit limbs over blocks of consecutive
+rows of at most _EXPLICIT_BLOCK_LIMBS limbs; a difference level is one
+subtraction over all limbs, carries are propagated every _CARRY_LEVELS
+levels, before a limb can overflow, and a block stops at level
+min(k_max, its last n), since the k-th difference of x**n is 0 for k > n
+(see stirling_explicit_rows_mod2).
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import cycle, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -71,7 +76,10 @@ _LANE_STEP_CAP = 1 << 36  # lane-steps of one row pass (see _lane_steps); the sc
 # widths 257 and 1,025 and 65 to 256 bits (most at 65 bits, where a word carries least)
 _OBJECT_WORD_WEIGHT = 96
 _EXPLICIT_K_CAP = 1022  # widest explicit row: its working residues carry up to nu2(1022!) = 1013 extra bits
-_EXPLICIT_BLOCK_BITS = 1 << 20  # bits of working residues in one block of explicit rows
+_LIMB_BITS = 32  # the explicit rows' difference table: int64 limbs of 32 bits, carried lazily
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+_CARRY_LEVELS = 30  # doublings between carry passes: limbs under 2**33 stay under 2**63
+_EXPLICIT_BLOCK_LIMBS = 1 << 14  # limbs of one block's difference table
 
 Query = tuple[int, int | None, int]  # (n1, n2, k): nu2(S(n1, k)), or of S(n1, k) - S(n2, k)
 
@@ -536,21 +544,75 @@ def stirling_explicit_mod2(n: int, k: int, bits: int) -> Residue:
     return Residue(_explicit_sum(n, k, bits, binoms, powers, mod), bits)
 
 
+def _carry(limbs: np.ndarray) -> None:
+    """One carry pass over int64 limbs, which run along the first axis, in place.
+
+    Each limb keeps its low 32 bits and gains the carry of the limb below.
+    The top limb's carry is dropped, so a value is kept mod 2**(32 * limbs).
+    Limbs under 2**63 in magnitude come out under 2**33.
+    """
+    high = limbs >> _LIMB_BITS
+    limbs &= _LIMB_MASK
+    limbs[1:] += high[:-1]
+
+
+def _digits(limbs: np.ndarray) -> np.ndarray:
+    """The 32-bit digits of lazily carried int64 limbs (under 2**63), mod 2**(32 * limbs).
+
+    Whole-array operations only, whatever the number of limbs.  Adding
+    2**34 to the lowest limb and 2**34 - 4 to each other one adds
+    2**(32 * limbs + 2), a multiple of the modulus, and makes every limb
+    positive; two carry passes then leave each limb at most 2**32.  The
+    carries left ripple through runs of 2**32 - 1: a limb takes one iff
+    the nearest limb below it that is not 2**32 - 1 is 2**32.  Modifies
+    `limbs`; returns the digits as uint64.
+    """
+    _carry(limbs)
+    limbs += 1 << (_LIMB_BITS + 2)
+    limbs[1:] -= 4
+    _carry(limbs)
+    _carry(limbs)
+    # 2 (i + 1) + (1 if limb i is 2**32), for the nearest limb i at or below that is not 2**32 - 1
+    nearest = limbs >> _LIMB_BITS
+    nearest += np.arange(2, 2 * len(limbs) + 1, 2).reshape((-1,) + (1,) * (limbs.ndim - 1))
+    nearest[limbs == _LIMB_MASK] = 0
+    np.maximum.accumulate(nearest, axis=0, out=nearest)
+    nearest &= 1
+    limbs[1:] += nearest[:-1]
+    limbs &= _LIMB_MASK
+    return limbs.view(np.uint64)
+
+
 def stirling_explicit_rows_mod2(n_max: int, k_max: int, bits: int) -> Iterator[list[int]]:
     """Rows S(n, 0..k_max) mod 2**bits for n = 0..n_max via the explicit formula.
 
     k! S(n, k) is the k-th forward difference of x**n at x = 0, so an
     explicit row is the first column of the difference table of
-    0**n, 1**n, ..., k_max**n.  The table is kept for a block of consecutive
-    rows at once, in one numpy object array of Python integers, at the
-    working modulus 2**(bits + nu2(k_max!)) of the single-cell form, which
-    keeps enough bits for the exact division by every k!.  Each difference
-    level is one array operation, and so are the checked division by
-    2**nu2(k!), the multiply by the inverse of the odd part of k! and the
-    mask to bits.  A block holds at most _EXPLICIT_BLOCK_BITS bits of
-    working residues, and at least one row.  No recurrence, exact triangle
-    or binomial is used.  Inputs are checked at the call, before the first
-    row is asked for; k_max is capped at _EXPLICIT_K_CAP.
+    0**n, 1**n, ..., k_max**n, taken mod 2**(bits + nu2(k_max!)) as in the
+    single-cell form, which keeps enough bits for the exact division by
+    every k!.  The table is kept for a block of consecutive rows at once,
+    in int64 arrays of 32-bit limbs (_LIMB_BITS), one plane per limb, whose
+    carries are kept lazily: a difference level is one subtraction over
+    all limbs and at most doubles a limb, so a carry pass (_carry) runs
+    every _CARRY_LEVELS levels, before any limb can reach 2**63.  The
+    powers are built in limbs too, one product by x per row; a product by
+    x < 2**b counts as b doublings.
+
+    The k-th difference of x**n is 0 for k > n, so a block whose last row
+    is n1 stops at level top = min(k_max, n1) and reads x <= top only.
+    Each entry of its table, the d-th difference of x**n at an x with
+    x + d <= top, counts the maps from n points into x + d values that
+    reach the last d of them, so it lies in [0, top**n] and fits in
+    n1 * bit_length(top) + 1 bits; the block holds that many bits or the
+    working precision, whichever is fewer.  A block holds at most
+    _EXPLICIT_BLOCK_LIMBS limbs, and at least one row.
+
+    Each level's first column is kept, its digits resolved once (_digits),
+    its low nu2(k!) bits checked to be 0 and the next `bits` bits read out
+    as Python integers, which are multiplied by the inverse of the odd part
+    of k! mod 2**bits.  No recurrence, exact triangle or binomial is used.
+    Inputs are checked at the call, before the first row is asked for;
+    k_max is capped at _EXPLICIT_K_CAP.
     """
     if k_max > _EXPLICIT_K_CAP:
         raise ResourceCapError(f"explicit rows capped at k_max <= {_EXPLICIT_K_CAP}, got {k_max}")
@@ -558,35 +620,83 @@ def stirling_explicit_rows_mod2(n_max: int, k_max: int, bits: int) -> Iterator[l
         raise DomainError(f"need n_max, k_max >= 0, got n_max={n_max}, k_max={k_max}")
     if bits < 1:
         raise DomainError(f"need bits >= 1, got {bits}")
-    width = k_max + 1
     working = bits + k_max - s2(k_max)
-    mask = (1 << working) - 1
-    height = max(1, _EXPLICIT_BLOCK_BITS // (width * working))
-    ks = range(width)
-    shift = np.array([k - s2(k) for k in ks], dtype=object)  # nu2(k!)
-    low = np.array([(1 << v) - 1 for v in shift], dtype=object)
-    inverse = np.array([_odd_factorial_inverse(k, bits) for k in ks], dtype=object)
-    base = np.array(ks, dtype=object)
+
+    def limbs(n1: int) -> int:
+        top = min(k_max, n1)
+        return -(-min(working, n1 * top.bit_length() + 1) // _LIMB_BITS)
+
+    width = min(n_max, k_max) + 1  # past column n_max every row is 0
+    shift = np.array([k - s2(k) for k in range(width)])  # nu2(k!)
+    inverse = [_odd_factorial_inverse(k, bits) for k in range(width)]
+    mask = (1 << bits) - 1
+    # the bits of each limb below nu2(k!), which must be 0
+    below = np.clip(shift - _LIMB_BITS * np.arange(limbs(n_max))[:, None], 0, _LIMB_BITS)
+    low = ((1 << below) - 1).astype(np.uint64)
+    spread = min(-(-bits // _LIMB_BITS), limbs(n_max))  # limbs of a quotient that can be nonzero
+    start, offset = shift // _LIMB_BITS, (shift % _LIMB_BITS).astype(np.uint64)
+    top_mask = (1 << min(_LIMB_BITS, bits - _LIMB_BITS * (spread - 1))) - 1
+    # rows between carry passes of the powers: a product by x < 2**b is b doublings
+    every = max(1, _CARRY_LEVELS // max(1, (width - 1).bit_length()))
+    x = np.arange(width, dtype=np.int64)
+
+    def block(n0: int, n1: int, powers: np.ndarray) -> list[list[int]]:
+        # rows n0..n1, from powers = x**n0 (which it leaves at x**(n1 + 1))
+        top, size, count = min(k_max, n1), limbs(n1), n1 + 1 - n0
+        table = np.empty((size, top + 1, count), np.int64)  # [limb, x, row]
+        for n in range(n0, n1 + 1):
+            table[..., n - n0] = powers[:size, : top + 1]
+            powers *= x
+            if (n + 1) % every == 0:
+                _carry(powers)
+        _carry(table)
+        # [limb, level, row], and a limb of zeros above for the reads past the values
+        first = np.zeros((size + 1, top + 1, count), np.int64)
+        first[:size, 0] = table[:, 0]
+        for level in range(1, top + 1):
+            table = table[:, 1:] - table[:, :-1]
+            if level % _CARRY_LEVELS == 0:
+                _carry(table)
+            first[:size, level] = table[:, 0]
+        _digits(first[:size])
+        digits = first.view(np.uint64)
+        bad = np.nonzero((digits[:size] & low[:size, : top + 1, None]).any(axis=0).T)
+        if len(bad[0]):
+            n, k = n0 + int(bad[0][0]), int(bad[1][0])
+            raise RuntimeError(
+                f"internal error: explicit sum for S({n},{k}) not divisible by 2**{shift[k]}"
+            )
+        # the quotient's limbs from bit nu2(k!) up
+        at = np.minimum(start[: top + 1] + np.arange(spread + 1)[:, None], size)
+        pieces = digits[at[..., None], np.arange(top + 1)[:, None], np.arange(count)]
+        del first, digits  # each array is let go once read, so that few are held at once
+        cut = offset[: top + 1, None]
+        quotient = pieces[:-1] >> cut
+        quotient |= pieces[1:] << (_LIMB_BITS - cut)
+        del pieces
+        quotient &= _LIMB_MASK
+        quotient[-1] &= top_mask
+        raw = np.ascontiguousarray(quotient.transpose(2, 1, 0), "<u4").view(f"V{4 * spread}")
+        del quotient
+        # one product at a time, so that no more than one is ever past `bits` bits
+        quotients = map(int.from_bytes, raw.ravel().tolist(), repeat("little"))
+        products = map(operator.mul, quotients, cycle(inverse[: top + 1]))
+        values = list(map(mask.__and__, products))
+        zeros = [0] * (k_max - top)
+        return [values[i : i + top + 1] + zeros for i in range(0, len(values), top + 1)]
 
     def rows() -> Iterator[list[int]]:
-        for n0 in range(0, n_max + 1, height):
-            count = min(height, n_max + 1 - n0)
-            table = np.empty((count, width), dtype=object)
-            table[0] = [pow(j, n0, 1 << working) for j in ks]
-            for i in range(1, count):
-                table[i] = table[i - 1] * base & mask
-            first = np.empty((count, width), dtype=object)
-            for k in ks:
-                first[:, k] = table[:, 0]
-                table = table[:, 1:] - table[:, :-1]
-            first &= mask
-            bad = np.nonzero(first & low)
-            if len(bad[0]):
-                n, k = n0 + int(bad[0][0]), int(bad[1][0])
-                raise RuntimeError(
-                    f"internal error: explicit sum for S({n},{k}) not divisible by 2**{shift[k]}"
-                )
-            yield from ((first >> shift) * inverse & ((1 << bits) - 1)).tolist()
+        powers = np.zeros((limbs(n_max), width), np.int64)  # x**n, exact or mod 2**working
+        powers[0] = 1
+        n0 = 0
+        while n0 <= n_max:
+            n1 = n0
+            while n1 < n_max and (
+                (n1 + 2 - n0) * (min(k_max, n1 + 1) + 1) * limbs(n1 + 1) <= _EXPLICIT_BLOCK_LIMBS
+            ):
+                n1 += 1
+            yield from block(n0, n1, powers)
+            n0 = n1 + 1
 
     return rows()
 

@@ -1179,8 +1179,8 @@ def cross_validate(
     precision makes one recurrence pass and one explicit row sequence over
     n <= n_max, compared row by row with the exact rows, which are read
     once; its records are one block.  Inputs past the exact engine's cap,
-    the explicit rows' cap on k_max, or below 1 bit are refused before any
-    work.
+    the explicit rows' cap on k_max, below 1 bit, or with no precision at
+    all (which would confirm nothing) are refused before any work.
     """
     _one_process(workers)
     if n_max < 0 or k_max < 0:
@@ -1188,6 +1188,8 @@ def cross_validate(
     if n_max > DEFAULT_EXACT_CAP:
         raise ResourceCapError(f"exact engine capped at n <= {DEFAULT_EXACT_CAP}, got n_max={n_max}")
     bits_values = sorted(set(int(b) for b in bits_list))
+    if not bits_values:
+        raise DomainError("need at least one precision in bits_list")
     start = time.perf_counter()
     # the explicit rows check k_max and bits at the call, before their first row
     explicit = {bits: stirling_explicit_rows_mod2(n_max, k_max, bits) for bits in bits_values}

@@ -470,15 +470,30 @@ class TestExplicitEngine:
         assert next(stirling_explicit_rows_mod2(0, 1022, 8)) == [1] + [0] * 1022
 
     @staticmethod
-    def block_height(k_max, bits):
-        # rows in one block of the difference table: its residues carry nu2(k_max!) extra bits
+    def blocks(n_max, k_max, bits):
+        # the rows (n0, n1) of each block of the difference table: a block whose last row is n1
+        # holds min(k_max, n1) + 1 x-columns of 32-bit limbs, enough for its values (at most
+        # min(k_max, n1)**n1) or for the residues and their nu2(k_max!) extra bits, and at most
+        # _EXPLICIT_BLOCK_LIMBS limbs unless it is one row
         working = bits + nu2_int(math.factorial(k_max))
-        return max(1, engine._EXPLICIT_BLOCK_BITS // ((k_max + 1) * working))
+
+        def block_limbs(n0, n1):
+            top = min(k_max, n1)
+            return (n1 + 1 - n0) * (top + 1) * -(-min(working, n1 * top.bit_length() + 1) // 32)
+
+        plan, n0 = [], 0
+        while n0 <= n_max:
+            n1 = n0
+            while n1 < n_max and block_limbs(n0, n1 + 1) <= engine._EXPLICIT_BLOCK_LIMBS:
+                n1 += 1
+            plan.append((n0, n1))
+            n0 = n1 + 1
+        return plan
 
     @pytest.mark.parametrize("bits", [1, 65, 200])
     def test_rows_against_single_cell_and_exact(self, bits):
         n_max, k_max = 110, 100
-        assert self.block_height(k_max, bits) <= n_max  # the rows cross a block boundary
+        assert len(self.blocks(n_max, k_max, bits)) > 1  # the rows cross a block boundary
         rows = list(stirling_explicit_rows_mod2(n_max, k_max, bits))
         assert len(rows) == n_max + 1
         for n, row in enumerate(rows):
@@ -490,18 +505,84 @@ class TestExplicitEngine:
     def test_block_boundaries(self, monkeypatch):
         k_max, bits = 20, 65
         expected = list(stirling_explicit_rows_mod2(12, k_max, bits))
-        one_row = (k_max + 1) * (bits + nu2_int(math.factorial(k_max)))
-        for height in (1, 2, 3, 5):
-            monkeypatch.setattr(engine, "_EXPLICIT_BLOCK_BITS", height * one_row)
-            assert self.block_height(k_max, bits) == height
+        assert expected == list(exact_rows(range(13), k_max, bits).values())
+        heights = set()
+        for limbs in (1, 4, 9, 16, 25, 36, 49, 64, 162, 1 << 15):
+            monkeypatch.setattr(engine, "_EXPLICIT_BLOCK_LIMBS", limbs)
+            (n0, n1), *_ = self.blocks(12, k_max, bits)
+            heights.add(n1 + 1 - n0)
             for n_max in range(13):
                 assert list(stirling_explicit_rows_mod2(n_max, k_max, bits)) == expected[: n_max + 1]
+        assert heights == {1, 2, 3, 4, 5, 6, 7, 8, 9, 13}
 
     @pytest.mark.parametrize("bits", [1, 65, 200])
-    def test_one_row_blocks_at_the_widest_k(self, bits):
-        assert self.block_height(1022, bits) == 1
-        rows = list(stirling_explicit_rows_mod2(3, 1022, bits))
-        assert rows == list(exact_rows(range(4), 1022, bits).values())
+    def test_one_row_blocks_at_the_widest_k(self, bits, monkeypatch):
+        # at k_max = 1022 the residues carry nu2(1022!) = 1013 extra bits; blocks stop at
+        # level n1 < k_max, so at the default budget they hold one row only from n = 214
+        # (200 bits) to 256 (1 bit) on, and here a budget of one limb makes every block one row
+        monkeypatch.setattr(engine, "_EXPLICIT_BLOCK_LIMBS", 1)
+        assert all(n0 == n1 for n0, n1 in self.blocks(40, 1022, bits))
+        rows = list(stirling_explicit_rows_mod2(40, 1022, bits))
+        assert rows == list(exact_rows(range(41), 1022, bits).values())
+
+    def test_limb_boundaries(self):
+        # 63 bits at k_max = 3 work at 64 bits, two whole limbs; the quotient of column 34 starts
+        # at bit nu2(34!) = 32, a limb boundary; and precisions around one, two and three limbs
+        assert 63 + nu2_int(math.factorial(3)) == 64 and nu2_int(math.factorial(34)) == 32
+        assert list(stirling_explicit_rows_mod2(20, 3, 63)) == list(exact_rows(range(21), 3, 63).values())
+        for bits in (31, 32, 33, 64, 96):
+            rows = list(stirling_explicit_rows_mod2(60, 40, bits))
+            assert rows == list(exact_rows(range(61), 40, bits).values())
+
+    def test_carries_at_every_level(self, monkeypatch):
+        # a carry pass after every difference level and every product of the powers
+        shapes = [(20, 3, 63), (60, 40, 96), (100, 64, 8), (30, 1022, 200)]
+        expected = [list(exact_rows(range(n_max + 1), k_max, bits).values()) for n_max, k_max, bits in shapes]
+        assert [list(stirling_explicit_rows_mod2(*shape)) for shape in shapes] == expected
+        monkeypatch.setattr(engine, "_CARRY_LEVELS", 1)
+        assert [list(stirling_explicit_rows_mod2(*shape)) for shape in shapes] == expected
+
+    def test_block_straddles_the_level_cut_off(self, monkeypatch):
+        # a block holding rows below and above k_max stops at level k_max, where its first
+        # rows are 0 past k = n: rows 0..98 of the first case, 8..13 of the second
+        assert self.blocks(400, 40, 64)[0] == (0, 98)
+        rows = list(stirling_explicit_rows_mod2(400, 40, 64))
+        assert rows == list(exact_rows(range(401), 40, 64).values())
+        monkeypatch.setattr(engine, "_EXPLICIT_BLOCK_LIMBS", 150)
+        assert self.blocks(30, 10, 65)[1] == (8, 13)
+        rows = list(stirling_explicit_rows_mod2(30, 10, 65))
+        assert rows == list(exact_rows(range(31), 10, 65).values())
+
+    @given(st.integers(0, 60), st.integers(0, 80), st.integers(1, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_against_exact_property(self, n_max, k_max, bits):
+        rows = list(stirling_explicit_rows_mod2(n_max, k_max, bits))
+        assert rows == list(exact_rows(range(n_max + 1), k_max, bits).values())
+
+    def test_small_values_at_high_precision(self):
+        # a million bits, but the values of rows n <= 10 fit one or two limbs, and the blocks
+        # hold only those
+        rows = list(stirling_explicit_rows_mod2(10, 4, 10**6))
+        assert rows == list(exact_rows(range(11), 4, 10**6).values())
+
+    def test_digits_resolve_carry_runs(self):
+        # lazily carried limbs (under 2**63) of known digits: runs of 2**32 - 1 that a carry
+        # crosses, and carries and borrows moved between neighbouring limbs
+        rng = np.random.default_rng(7)
+        limbs, columns, top = 12, 400, (1 << 32) - 1
+        choices = np.array([0, 1, top - 1, top, 1 << 31])
+        digits = rng.choice(choices, size=(limbs, columns), p=[0.1, 0.1, 0.1, 0.6, 0.1])
+        moved = rng.integers(-(1 << 30), 1 << 30, size=digits.shape)
+        lazy = digits + (moved << 32)  # moved * 2**32 into each limb, taken from the next one
+        lazy[1:] -= moved[:-1]
+        # -1; 2**32 + (2**32 - 1) * (2**32 + 2**64 + ...), a multiple of the modulus;
+        # 2**62 - 1 - (2**30 + 1) * 2**32 = -2**32 - 1; and 1 - 2**62 + 2**30 * 2**32 = 1
+        lazy[:, :4] = 0
+        lazy[0, :4] = -1, 1 << 32, (1 << 62) - 1, 1 - (1 << 62)
+        lazy[1:, 1] = top
+        lazy[1, 2:4] = -(1 << 30) - 1, 1 << 30
+        digits[:, :4] = [[top, 0, top, 1], [top, 0, top - 1, 0]] + [[top, 0, top, 0]] * (limbs - 2)
+        assert engine._digits(lazy.copy()).tolist() == digits.tolist()
 
     @pytest.mark.parametrize("bits", [1, 65, 200])
     def test_edges(self, bits):
@@ -518,7 +599,7 @@ class TestExplicitEngine:
         def refuse(*args, **kwargs):
             raise AssertionError("the explicit rows reached another route")
 
-        for name in ("stirling_rows_mod2", "_rows_numpy", "stirling_exact"):
+        for name in ("stirling_rows_mod2", "_rows_numpy", "_band", "_JumpBands", "stirling_exact"):
             monkeypatch.setattr(engine, name, refuse)
         assert list(stirling_explicit_rows_mod2(50, 40, 96)) == expected
 

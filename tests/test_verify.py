@@ -735,6 +735,17 @@ class TestCrossValidate:
             cross_validate(n_max=n_max, k_max=k_max, bits_list=bits_list)
         assert time.perf_counter() - start < 0.1
 
+    def test_empty_precision_list_is_refused(self, monkeypatch):
+        # no precision would confirm nothing: refused before any row or exact table is read
+        def refuse(*args, **kwargs):
+            raise AssertionError("cross_validate worked on an empty precision list")
+
+        for name in ("stirling_rows_mod2", "stirling_explicit_rows_mod2", "stirling_exact_table"):
+            monkeypatch.setattr(verify, name, refuse)
+        for bits_list in ([], (), iter(())):
+            with pytest.raises(DomainError, match="at least one precision"):
+                cross_validate(n_max=40, k_max=12, bits_list=bits_list)
+
     @pytest.mark.parametrize(
         "route", ["stirling_rows_mod2", "stirling_explicit_rows_mod2", "stirling_exact_table"]
     )
