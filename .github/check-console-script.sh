@@ -31,6 +31,14 @@ check 70 '' diff 3 1 33 1000
 check 0 'n,c,k,N,source,claim_kind,claim_value,observed_kind,observed_value,verdict' sweep lengyel-eq --range n=1..3 --format csv
 # 4 * 2**60 cells: refused from the blocks' closed-form counts before any is built (exit 70, nothing on stdout)
 check 70 '' sweep lengyel-eq --range n=60
+# a negative cap is bad input, refused before any block is planned (exit 64)
+check 64 '' sweep lengyel-eq --cell-cap -1
+# the coded columns on numpy 1.24 in the numpy-floor job: a column of texts (slack) ...
+check 0 'p,v,m,n,slack,source,claim_kind,claim_value,observed_kind,observed_value,verdict' sweep junod --range m=0..2 --range n=1..2 --format csv
+# ... and str values shared by every cell of a block, in two params layouts
+check 0 'identity,n,m,k,k1,k2,r,source,claim_kind,claim_value,observed_kind,observed_value,verdict' check-identities --max-conv 2 --max-sym 1 --junod-max 1 --junod-p3-max 0 --format csv
+# the convolution identity needs m >= 1: m = 0 is bad input (exit 64), not a violation
+check 64 '' sweep identities --range conv_m=0..1
 # each statement's column path from the installed package: the shared formulas of the predictors
 check 0 'c,n,k,a,arg_n,arg_k,source,claim_kind,claim_value,observed_kind,observed_value,verdict' sweep lem-theta --range n=3..4 --format csv
 check 0 'n,b,m,c,a,k,N,source,claim_kind,claim_value,observed_kind,observed_value,verdict' sweep thm-shifted-triple --range n=1..2 --range b=1..2 --format csv

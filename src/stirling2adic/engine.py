@@ -34,7 +34,6 @@ min(k_max, its last n), since the k-th difference of x**n is 0 for k > n
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from collections import defaultdict
@@ -511,10 +510,14 @@ def _signed_powers(n: int, k_max: int, bits: int) -> tuple[list[int], int]:
     return [-pow(j, n, mod) if j & 1 else pow(j, n, mod) for j in range(k_max + 1)], mod
 
 
-@functools.lru_cache(maxsize=1 << 12)
-def _odd_factorial_inverse(k: int, bits: int) -> int:
-    """Inverse of the odd part of k! mod 2**bits."""
-    return pow(math.factorial(k) >> (k - s2(k)), -1, 1 << bits)
+def _odd_factorial_inverses(top: int, bits: int) -> list[int]:
+    """The inverses mod 2**bits of the odd parts of 0!, ..., top!: one pow at top,
+    then inv(odd((k-1)!)) = inv(odd(k!)) * odd(k) on the way down."""
+    mod = 1 << bits
+    inverses = [pow(math.factorial(top) >> (top - s2(top)), -1, mod)]
+    for k in range(top, 0, -1):
+        inverses.append(inverses[-1] * (k // (k & -k)) % mod)  # k // (k & -k) is odd(k)
+    return inverses[::-1]
 
 
 def _explicit_sum(n: int, k: int, bits: int, binoms: list[int], powers: list[int], mod: int) -> int:
@@ -532,7 +535,8 @@ def _explicit_sum(n: int, k: int, bits: int, binoms: list[int], powers: list[int
         raise RuntimeError(
             f"internal error: explicit sum for S({n},{k}) not divisible by 2**{v2_fact}"
         )
-    return (total >> v2_fact) * _odd_factorial_inverse(k, bits) % (1 << bits)
+    inverse = pow(math.factorial(k) >> v2_fact, -1, 1 << bits)
+    return (total >> v2_fact) * inverse % (1 << bits)
 
 
 def stirling_explicit_mod2(n: int, k: int, bits: int) -> Residue:
@@ -628,7 +632,7 @@ def stirling_explicit_rows_mod2(n_max: int, k_max: int, bits: int) -> Iterator[l
 
     width = min(n_max, k_max) + 1  # past column n_max every row is 0
     shift = np.array([k - s2(k) for k in range(width)])  # nu2(k!)
-    inverse = [_odd_factorial_inverse(k, bits) for k in range(width)]
+    inverse = _odd_factorial_inverses(width - 1, bits)
     mask = (1 << bits) - 1
     # the bits of each limb below nu2(k!), which must be 0
     below = np.clip(shift - _LIMB_BITS * np.arange(limbs(n_max))[:, None], 0, _LIMB_BITS)

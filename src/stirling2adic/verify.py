@@ -5,16 +5,17 @@ Mersenne-shaped case.
 A sweep works on blocks of cells, not on one cell at a time.  A target
 yields its grid as blocks, for example one per n or per pair, each with its
 cell count in closed form, so that a grid over the cell cap is refused
-before any block is built.  A block holds its parameters as columns (see
-_Block): numpy int64 arrays, a plain value where a parameter is the same in
-every cell, arrays of exact Python integers (dtype object) where a value can
-pass int64, and codes into a few values for the parameters of an outer loop
-(see _runs).  The claims come from the predictors' statements, each declared
-once and evaluated on the block's columns (Statement.claims); the queries
-of every block go to one valuations() call, and the verdicts are one table
-lookup over all cells (see _VERDICTS).  The exact checks (junod, identities,
-count-J, diff-congruence) run one cell at a time and emit blocks too, and so
-do the scanner and cross-validation.
+before any block is built.  A block holds its parameters and claim fields
+as columns of two kinds (see _Block): numpy integer arrays (int64, or exact
+Python integers where a value can pass int64), and codes into a few values
+(_Coded), which the parameters of an outer loop (see _runs), a value that
+every cell shares and a column of texts all become.  The claims come from
+the predictors' statements, each declared once and evaluated on the
+block's columns (Statement.claims); the queries of every block go to one
+valuations() call, and the verdicts are one table lookup over all cells
+(see _VERDICTS).  The exact checks (junod, identities, count-J,
+diff-congruence) run one cell at a time and emit blocks too, and so do the
+scanner and cross-validation.
 
 Reports are deterministic: cells are emitted in lexicographic parameter
 order, and runtime metadata is kept out of the serialized record section.
@@ -27,8 +28,8 @@ import bisect
 import itertools
 import json
 import math
+import sys
 import time
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
@@ -202,8 +203,7 @@ class _Block(NamedTuple):
 
     keys is the layout; params holds one column per key and fields one per
     name in _FIELDS.  A column is a numpy integer array (int64, or object
-    for exact Python integers), a _Coded, a list of values, or a single
-    value that every cell has.
+    for exact Python integers past int64) or a _Coded; _block makes them.
     """
 
     keys: tuple[str, ...]
@@ -212,21 +212,42 @@ class _Block(NamedTuple):
     size: int
 
 
-def _values(column: object, index: slice | np.ndarray, size: int) -> list:
-    """The entries of a column of size cells at index (a slice, or an array of positions)."""
+_ZEROS = np.broadcast_to(np.uint8(0), sys.maxsize)  # one byte, read at every position
+
+
+def _block(keys: Iterable[str], params: Iterable, fields: Iterable, size: int) -> _Block:
+    """A _Block of size cells, from columns that may also be lists or single values.
+
+    A list becomes codes into its distinct values, told apart by type, so
+    that 1, 1.0 and True are three labels, and a float by its text, so that
+    0.0 and -0.0 are two.  A single value becomes a _Coded of one label,
+    whose codes are one zero seen size times (_ZEROS).
+    """
+
+    def column(values: object) -> np.ndarray | _Coded:
+        if isinstance(values, (np.ndarray, _Coded)):
+            return values
+        if not isinstance(values, list):
+            return _Coded((values,), _ZEROS[:size])
+        index: dict = {}
+        tags = [(type(v), repr(v) if type(v) is float else v) for v in values]
+        codes = [index.setdefault(tag, len(index)) for tag in tags]
+        firsts = np.unique(codes, return_index=True)[1].tolist()
+        return _Coded(tuple(values[i] for i in firsts), np.array(codes, np.min_scalar_type(len(index))))
+
+    return _Block(tuple(keys), tuple(map(column, params)), tuple(map(column, fields)), size)
+
+
+def _values(column: np.ndarray | _Coded, index: slice | np.ndarray) -> list:
+    """The entries of a column at index (a slice, or an array of positions)."""
     if isinstance(column, _Coded):
         return [column.labels[code] for code in column.codes[index].tolist()]
-    if isinstance(column, np.ndarray):
-        return column[index].tolist()
-    positions = range(size)[index] if isinstance(index, slice) else index.tolist()
-    if isinstance(column, list):
-        return column[index] if isinstance(index, slice) else [column[i] for i in positions]
-    return [column] * len(positions)
+    return column[index].tolist()
 
 
 def _records(block: _Block, index: slice | np.ndarray = slice(None)) -> list[CellRecord]:
-    params = [_values(column, index, block.size) for column in block.params]
-    fields = [_values(column, index, block.size) for column in block.fields]
+    params = [_values(column, index) for column in block.params]
+    fields = [_values(column, index) for column in block.fields]
     rows = zip(*params) if params else repeat((), len(fields[0]))
     return [CellRecord(dict(zip(block.keys, row)), *f) for row, f in zip(rows, zip(*fields))]
 
@@ -236,9 +257,9 @@ def _blocks_of(records: Iterable[CellRecord]) -> list[_Block]:
     blocks = []
     for keys, run in itertools.groupby(records, key=lambda rec: tuple(rec.params)):
         run = list(run)
-        params = tuple([rec.params[key] for rec in run] for key in keys)
-        fields = tuple(list(map(attrgetter(name), run)) for name in _FIELDS)
-        blocks.append(_Block(keys, params, fields, len(run)))
+        params = ([rec.params[key] for rec in run] for key in keys)
+        fields = (list(map(attrgetter(name), run)) for name in _FIELDS)
+        blocks.append(_block(keys, params, fields, len(run)))
     return blocks
 
 
@@ -266,15 +287,6 @@ class _Records(Sequence):
     def __iter__(self) -> Iterator[CellRecord]:
         for block in self._blocks:
             yield from _records(block)
-
-
-def _verdict_counts(column: object, size: int) -> Counter:
-    if isinstance(column, _Coded):
-        counts = np.bincount(column.codes, minlength=len(column.labels)).tolist()
-        return Counter(dict(zip(column.labels, counts)))
-    if isinstance(column, list):
-        return Counter(column)
-    return Counter({column: size})
 
 
 def _int64(lo: int, hi: int) -> bool:
@@ -506,7 +518,7 @@ def _check_block(keys: str, params: tuple, source: str, claim_kind: str, holds: 
     ok = np.array(holds, dtype=bool)
     verdict = np.where(ok, VERDICT_ORDER.index(CONFIRMED), VERDICT_ORDER.index(VIOLATED))
     fields = (source, claim_kind, None, "boolean", ok.astype(np.int64), _Coded(VERDICT_ORDER, verdict))
-    return _Block(tuple(keys.split()), params, fields, ok.size)
+    return _block(keys.split(), params, fields, ok.size)
 
 
 def _junod(r: dict) -> Iterator[tuple]:
@@ -527,7 +539,7 @@ def _junod_block(ps: list[int], vs: list[int], ms: list[int], ns: list[int]) -> 
 
 def _identities(r: dict) -> Iterator[tuple]:
     """The convolution and symmetric product identities: a block per n and per k1."""
-    conv_n, conv_m = _int_list(r, "conv_n", floor=0), _int_list(r, "conv_m", floor=0)
+    conv_n, conv_m = _int_list(r, "conv_n", floor=0), _int_list(r, "conv_m", floor=1)
     sym_k1, sym_k2 = _int_list(r, "sym_k1", floor=0), _int_list(r, "sym_k2", floor=0)
     for n in conv_n:
         yield sum(n + m + 1 for m in conv_m), partial(_convolution_block, n, conv_m)
@@ -561,7 +573,7 @@ def _count_j_block(n: int) -> _Block:
     observed = np.array([len(brute_force_J(n, x)) for x in a.tolist()], dtype=np.int64)
     verdict = np.where(claimed == observed, VERDICT_ORDER.index(CONFIRMED), VERDICT_ORDER.index(VIOLATED))
     fields = ("Lem-CountJ", "count", claimed, "count", observed, _Coded(VERDICT_ORDER, verdict))
-    return _Block(("n", "a"), (n, a), fields, a.size)
+    return _block(("n", "a"), (n, a), fields, a.size)
 
 
 def _diff_congruence(r: dict) -> Iterator[tuple]:
@@ -697,25 +709,8 @@ def _csv_field(value: object) -> str:
     return "" if value is None else str(value)
 
 
-_JSON_BY_TYPE = {int: int.__repr__, str: encode_basestring_ascii}
-_CSV_BY_TYPE = {int: int.__repr__, str: str}
 _SPAN = 1 << 14  # the most records whose texts are held at once
 _BATCH = 1 << 22  # characters of report text joined before they are appended
-
-
-def _list_texts(values: list, convert: Callable[[object], str], by_type: dict) -> list[str]:
-    """convert(value) for each value.
-
-    When every value has one exact type that by_type maps to a converter,
-    that converter runs once per distinct value and the column is one builtin
-    map over the table of results.
-    """
-    types = set(map(type, values))
-    fast = by_type.get(types.pop()) if len(types) == 1 else None
-    if fast is None:
-        return list(map(convert, values))
-    distinct = set(values)
-    return list(map(dict(zip(distinct, map(fast, distinct))).__getitem__, values))
 
 
 class _Memo:
@@ -737,32 +732,31 @@ _DECIMALS = _Memo(int.__repr__)  # the texts of naturals, shared by the writers
 _INTS = _Memo(int)  # Python integers, one object per value, shared by the queries
 
 
-def _texts(column: object, span: slice, convert: Callable[[object], str], by_type: dict) -> str | list[str]:
+def _texts(column: np.ndarray | _Coded, span: slice, convert: Callable[[object], str]) -> str | list[str]:
     """The texts of a column's entries in span: one str when they are all equal.
 
-    An int64 column is written with int.__repr__, as both writers write an
-    int, and read off _DECIMALS where its entries are naturals below
-    _MEMO_CAP; a _Coded column is read off the texts of its labels.
+    A _Coded column is read off the texts of its labels, without a look at
+    its codes when it has one label.  An integer column is written with
+    int.__repr__, as both writers write an int, and an int64 one read off
+    _DECIMALS where its entries are naturals below _MEMO_CAP.
     """
     if isinstance(column, _Coded):
+        if len(column.labels) == 1:
+            return convert(column.labels[0])
         codes = column.codes[span]
         low, high = int(codes.min()), int(codes.max())
         if low == high:
             return convert(column.labels[low])
         table = np.array(list(map(convert, column.labels[low : high + 1])), dtype=object)
         return table[codes - low].tolist()
-    if isinstance(column, np.ndarray) and column.dtype != object:
-        values = column[span]
+    values = column[span]
+    if column.dtype != object:
         low, high = int(values.min()), int(values.max())
         if low == high:
             return int.__repr__(low)
         if 0 <= low and high < _MEMO_CAP:
             return _DECIMALS.below(high + 1)[values].tolist()
-        return list(map(int.__repr__, values.tolist()))
-    if isinstance(column, (list, np.ndarray)):
-        values = column[span] if isinstance(column, list) else column[span].tolist()
-        return _list_texts(values, convert, by_type)
-    return convert(column)
+    return list(map(int.__repr__, values.tolist()))
 
 
 def _joined(pieces: list, sep: str, count: int, lead: str) -> str:
@@ -795,11 +789,11 @@ def _json_pieces(block: _Block, span: slice) -> list:
     for i, (key, column) in enumerate(zip(block.keys, block.params)):
         # a key that is not a str raises TypeError here, as json.dumps would for the record
         name = encode_basestring_ascii(key)
-        text = _texts(column, span, _json_scalar, _JSON_BY_TYPE)
+        text = _texts(column, span, _json_scalar)
         pieces += [(",\n        " if i else "\n        ") + name + ": ", text]
     pieces.append("\n      }," if block.keys else "},")
     for name, column in zip(_FIELDS, block.fields):
-        pieces += [f'\n      "{name}": ', _texts(column, span, _json_scalar, _JSON_BY_TYPE), ","]
+        pieces += [f'\n      "{name}": ', _texts(column, span, _json_scalar), ","]
     pieces[-1] = "\n    }"
     return pieces
 
@@ -808,10 +802,10 @@ def _csv_pieces(columns: tuple[str, ...], block: _Block, span: slice) -> list:
     """The pieces (see _joined) of the lines of the records in span of a block in SweepReport.to_csv."""
     params = dict(zip(block.keys, block.params))
     pieces: list = []
-    for column in [params.get(name, "") for name in columns]:
-        pieces += [_texts(column, span, str, _CSV_BY_TYPE), ","]
+    for name in columns:
+        pieces += [_texts(params[name], span, str) if name in params else "", ","]
     for column in block.fields:
-        pieces += [_texts(column, span, _csv_field, _CSV_BY_TYPE), ","]
+        pieces += [_texts(column, span, _csv_field), ","]
     return pieces[:-1]
 
 
@@ -878,9 +872,10 @@ class SweepReport:
     def summary(self) -> dict:
         counts = {v: 0 for v in VERDICT_ORDER}
         for block in self.blocks:
-            for verdict, count in _verdict_counts(block.fields[-1], block.size).items():
-                if count:
-                    counts[verdict] += count
+            verdicts = block.fields[-1]
+            tally = np.bincount(verdicts.codes, minlength=len(verdicts.labels)).tolist()
+            for verdict, count in zip(verdicts.labels, tally):
+                counts[verdict] += count
         return {"cells": sum(block.size for block in self.blocks), **counts}
 
     @property
@@ -893,13 +888,8 @@ class SweepReport:
         out: list[CellRecord] = []
         for block in self.blocks:
             column = block.fields[-1]
-            if isinstance(column, _Coded):
-                wanted = [i for i, label in enumerate(column.labels) if label in verdicts]
-                out += _records(block, np.flatnonzero(np.isin(column.codes, wanted)))
-            elif isinstance(column, list):
-                out += _records(block, np.array([i for i, v in enumerate(column) if v in verdicts], dtype=np.intp))
-            elif column in verdicts:
-                out += _records(block)
+            wanted = [i for i, label in enumerate(column.labels) if label in verdicts]
+            out += _records(block, np.flatnonzero(np.isin(column.codes, wanted)))
         return out
 
     def to_csv(self) -> str:
@@ -962,26 +952,24 @@ def _one_process(workers: int) -> None:
         raise DomainError(f"workers must be 1 (the process pool was removed), got {workers}")
 
 
-def _column_list(column: object, size: int) -> Iterable:
+def _column_list(column: np.ndarray | _Coded | None, size: int) -> Iterable:
     """A query column's entries, int64 naturals below _MEMO_CAP and the values
-    of a _Coded column as shared int objects."""
+    of a _Coded column as shared int objects; None (no second row) in each cell."""
+    if column is None:
+        return repeat(None, size)
     if isinstance(column, _Coded):
         return np.array(column.labels, dtype=object)[column.codes].tolist()
-    if not isinstance(column, np.ndarray):
-        return repeat(column, size)
     if column.dtype != object and 0 <= column.min() and column.max() < _MEMO_CAP:
         return _INTS.below(int(column.max()) + 1)[column].tolist()
     return column.tolist()
 
 
-def _folded(labels: tuple, codes: np.ndarray) -> object:
-    """The column of labels[codes]: the one label when every code is the same."""
-    codes = np.atleast_1d(codes)
-    return labels[codes[0]] if codes.min() == codes.max() else _Coded(labels, codes)
-
-
-def _cut(column: object, cut: slice) -> object:
-    return _Coded(column.labels, column.codes[cut]) if isinstance(column, _Coded) else column
+def _folded(labels: tuple, codes: np.ndarray, size: int) -> _Coded:
+    """The column of labels[codes] over size cells (codes is 0-d when they all
+    have the same), with the one label alone when every code is the same."""
+    if codes.ndim == 0 or codes.min() == codes.max():
+        return _Coded((labels[codes.flat[0]],), _ZEROS[:size])
+    return _Coded(labels, codes)
 
 
 def _run_blocks(blocks: list[_Cells], policy: PrecisionPolicy) -> list[_Block]:
@@ -1012,20 +1000,21 @@ def _run_blocks(blocks: list[_Cells], policy: PrecisionPolicy) -> list[_Block]:
     side = np.sign(observed_value - claim_value) + 1
     verdict = _VERDICTS[claim_kind, observed_kind, side]
 
-    # a column that holds one value in every cell of the sweep is that value in every block
-    kinds, verdicts = _folded(_OBSERVED_KINDS, observed_kind), _folded(VERDICT_ORDER, verdict)
+    # a column that holds one value in every cell of the sweep has one label in every block
+    kinds = _folded(_OBSERVED_KINDS, observed_kind, verdict.size)
+    verdicts = _folded(VERDICT_ORDER, verdict, verdict.size)
     out = []
     for block, end in zip(blocks, itertools.accumulate(block.size for block in blocks)):
         cut, claims = slice(end - block.size, end), block.claims
         fields = (
-            _folded(P.SOURCES, claims.source),
-            _folded(P.CLAIM_KINDS, claims.kind),
+            _folded(P.SOURCES, claims.source, block.size),
+            _folded(P.CLAIM_KINDS, claims.kind, block.size),
             int(claims.value) if claims.value.ndim == 0 else claims.value,
-            _cut(kinds, cut),
+            _Coded(kinds.labels, kinds.codes[cut]),
             _Coded(value_labels, index[cut]),
-            _cut(verdicts, cut),
+            _Coded(verdicts.labels, verdicts.codes[cut]),
         )
-        out.append(_Block(block.keys, block.params, fields, block.size))
+        out.append(_block(block.keys, block.params, fields, block.size))
     return out
 
 
@@ -1034,9 +1023,11 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 
     The grid's cell count is summed from its blocks' closed-form counts,
     before any block is built, and the grid is refused as soon as the sum
-    passes config.cell_cap.
+    passes config.cell_cap.  A negative cap is refused before that.
     """
     _one_process(config.workers)
+    if config.cell_cap < 0:
+        raise DomainError(f"cell cap must be >= 0, got {config.cell_cap}")
     if config.target not in _TARGETS:
         raise DomainError(f"unknown sweep target {config.target!r}")
     target = _TARGETS[config.target]

@@ -197,6 +197,20 @@ class TestSweep:
         assert out == ""
         assert "cap" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the convolution identity needs m >= 1: m = 0 is refused, not reported violated
+            ("identities", "--range", "conv_m=0..1", "--range", "conv_n=0..1"),
+            ("lengyel-eq", "--cell-cap", "-1"),
+        ],
+    )
+    def test_bad_grid_or_cap_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "sweep", *argv)
+        assert code == 64
+        assert out == ""
+        assert "error:" in err
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, out, _ = run_cli(

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -565,6 +567,22 @@ class TestExplicitEngine:
         rows = list(stirling_explicit_rows_mod2(10, 4, 10**6))
         assert rows == list(exact_rows(range(11), 4, 10**6).values())
 
+    def test_megabit_rows_keep_no_inverses(self):
+        # each call builds the inverses of the odd parts of k! it needs and lets them go:
+        # nothing of three megabit calls stays behind
+        expected = [stirling_exact(10, k) for k in range(11)]
+        tracemalloc.start()
+        try:
+            for bits in (10**6, 2 * 10**6, 3 * 10**6):
+                rows = list(stirling_explicit_rows_mod2(10, 40, bits))
+                assert rows[10][:11] == expected
+            del rows
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 1 << 20
+
     def test_digits_resolve_carry_runs(self):
         # lazily carried limbs (under 2**63) of known digits: runs of 2**32 - 1 that a carry
         # crosses, and carries and borrows moved between neighbouring limbs
@@ -606,7 +624,7 @@ class TestExplicitEngine:
     def test_division_by_k_factorial_is_checked(self, monkeypatch):
         # with s2 = 0 the rows would divide k! S(n, k) by 2**k, which 1! S(1, 1) = 1 is not
         monkeypatch.setattr(engine, "s2", lambda k: 0)
-        monkeypatch.setattr(engine, "_odd_factorial_inverse", lambda k, bits: 1)
+        monkeypatch.setattr(engine, "_odd_factorial_inverses", lambda top, bits: [1] * (top + 1))
         with pytest.raises(RuntimeError, match=r"S\(1,1\) not divisible by 2\*\*1"):
             list(stirling_explicit_rows_mod2(4, 4, 8))
 

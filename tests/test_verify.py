@@ -2,7 +2,9 @@ import json
 import os
 import random
 import time
+from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -122,6 +124,21 @@ class TestRunSweep:
         report = run_sweep(SweepConfig("lengyel-eq", {"n": [1, 2, 3]}, cell_cap=4 * 14))
         assert report.summary["cells"] == 4 * 14
 
+    def test_negative_cell_cap_is_refused_before_any_block(self, monkeypatch):
+        def refuse(ranges):
+            raise AssertionError("a block was planned under a negative cap")
+
+        target = verify._TARGETS["lengyel-eq"]
+        monkeypatch.setitem(verify._TARGETS, "lengyel-eq", target._replace(blocks=refuse))
+        with pytest.raises(DomainError, match="cell cap"):
+            run_sweep(SweepConfig("lengyel-eq", cell_cap=-5))
+
+    def test_cell_cap_of_zero(self):
+        # a cap of 0 is legal: it admits an empty grid and refuses any other
+        assert run_sweep(SweepConfig("lengyel-eq", {"c": []}, cell_cap=0)).summary["cells"] == 0
+        with pytest.raises(ResourceCapError):
+            run_sweep(SweepConfig("lengyel-eq", {"n": [1]}, cell_cap=0))
+
     @pytest.mark.parametrize(
         "target, ranges",
         [
@@ -206,8 +223,9 @@ class TestReportShape:
         }
 
 
-def reference_json(report: SweepReport, include_runtime: bool) -> str:
-    """The report through json.dumps, the bytes to_json must give."""
+def reference_json(report: SweepReport, include_runtime: bool, records=None) -> str:
+    """The report through json.dumps, the bytes to_json must give, of records
+    (the report's own when None)."""
     obj = {
         "schema_version": verify.SCHEMA_VERSION,
         "target": report.target,
@@ -224,7 +242,7 @@ def reference_json(report: SweepReport, include_runtime: bool) -> str:
                 "observed_value": rec.observed_value,
                 "verdict": rec.verdict,
             }
-            for rec in report.records
+            for rec in (report.records if records is None else records)
         ],
     }
     if include_runtime:
@@ -268,11 +286,12 @@ _report = st.builds(
 )
 
 
-def reference_csv(report: SweepReport) -> str:
-    """The CSV to_csv must give, written one record at a time."""
+def reference_csv(report: SweepReport, records=None) -> str:
+    """The CSV to_csv must give, written one record at a time, of records
+    (the report's own when None)."""
     fields = ["source", "claim_kind", "claim_value", "observed_kind", "observed_value", "verdict"]
     lines = [",".join([*report.columns, *fields])]
-    for rec in report.records:
+    for rec in report.records if records is None else records:
         cols = [str(rec.params.get(c, "")) for c in report.columns]
         cols += [
             rec.source,
@@ -376,6 +395,12 @@ class TestJsonWriter:
         report = SweepReport("t", {}, (), [record], runtime_seconds=float("inf"))
         for include_runtime in (False, True):
             assert report.to_json(include_runtime) == reference_json(report, include_runtime)
+        records = _equal_values_of_other_types()
+        report = SweepReport("t", {}, ("x",), records, runtime_seconds=1.0)
+        assert_same_records(report, records)
+        for include_runtime in (False, True):
+            want = reference_json(report, include_runtime, records)
+            assert report.to_json(include_runtime) == want
 
     # nested values would need nested indentation; keys must be text
     @pytest.mark.parametrize(
@@ -394,6 +419,63 @@ class TestCsvWriter:
     @settings(deadline=None, max_examples=25)
     def test_report_size_matches_per_record(self, report):
         assert_same_text(report.to_csv(), reference_csv(report))
+
+    def test_edge_values(self):
+        records = _equal_values_of_other_types()
+        report = SweepReport("t", {}, ("x", "y"), records)
+        assert_same_records(report, records)
+        assert report.to_csv() == reference_csv(report, records)
+        assert [line.split(",")[0] for line in report.to_csv().splitlines()[1:6]] == [
+            "1", "True", "1.0", "0", "False"
+        ]
+
+
+def _equal_values_of_other_types() -> list[CellRecord]:
+    """Records whose one key, claim value and observed value hold values that
+    are equal but of other types, or floats of equal value but other texts."""
+    values = [1, True, 1.0, 0, False, 0.0, -0.0, 1, False, -0.0]
+    return [CellRecord({"x": v}, "s", "k", v, "o", v, CONFIRMED) for v in values]
+
+
+def assert_same_records(report: SweepReport, records: list[CellRecord]) -> None:
+    """report.records are records, value for value, of the same types and texts."""
+
+    def tagged(recs):
+        return [
+            [(type(v), repr(v)) for v in (*rec.params.values(), rec.claim_value, rec.observed_value)]
+            for rec in recs
+        ]
+
+    assert tagged(report.records) == tagged(records)
+
+
+class TestColumnKinds:
+    """Every params and fields column of a block is a numpy integer array or a
+    _Coded, of one entry per cell."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [partial(run_sweep, SweepConfig(target)) for target in sweep_targets()]
+        + [
+            partial(scan_conjecture_mersenne, range(2, 6), [(2, 1), (3, 1), (3, 2), (4, 2), (5, 1)]),
+            partial(cross_validate, 60, 8, (8, 65)),
+            partial(SweepReport, "t", {}, ("x",), _equal_values_of_other_types()),
+        ],
+        ids=[*sweep_targets(), "scan", "cross-validate", "records"],
+    )
+    def test_two_kinds(self, make):
+        report = make()
+        assert report.blocks
+        for block in report.blocks:
+            assert len(block.params) == len(block.keys)
+            assert len(block.fields) == len(verify._FIELDS)
+            for column in (*block.params, *block.fields):
+                if isinstance(column, verify._Coded):
+                    assert len(column.codes) == block.size
+                    assert 0 <= column.codes.min() and column.codes.max() < len(column.labels)
+                else:
+                    assert isinstance(column, np.ndarray) and column.dtype in (np.int64, object)
+                    assert len(column) == block.size
 
 
 class TestIdentitySweeps:
